@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fileio
+from . import fileio
 from .concentration import bounds_report
 from .construction import SOLVE_TOL, construct_from_target
 from .measures import DEFAULT_STATE_CAP, SeqSpace, StateCapExceeded, random_measure
@@ -37,6 +37,8 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if not args.tolerance > 0.0:
+        raise fileio.FileFormatError(f"--tolerance must be > 0, got {args.tolerance}")
     h = fileio.read_matrix(args.matrix)
     pm, traces = construct_from_target(h, tol=args.tolerance)
     fileio.write_product(args.output, pm)
@@ -79,8 +81,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    if len(args.measures) == 1 and fileio.is_product_file(args.measures[0]):
-        pm = fileio.read_product(args.measures[0], state_cap=args.state_cap)
+    if len(args.measures) == 1:
+        pm = fileio.read_product_or_measure(args.measures[0], state_cap=args.state_cap)
     else:
         comps = tuple(
             fileio.read_measure(p, state_cap=args.state_cap) for p in args.measures

@@ -8,8 +8,8 @@ convex 1-Lipschitz for the spectral bound), deviation probabilities obey
 
 where H is the strictly-upper-triangular mixing matrix, the square root is
 entrywise, and ||Delta|| is taken either as the max row sum or as the
-spectral norm.  Matrix norms here are hand-rolled: the max row sum directly,
-the spectral norm by power iteration on M^T M.
+spectral norm.  The max row sum is summed directly; the spectral norm is
+the largest singular value from numpy's LAPACK-backed ``norm(m, 2)``.
 """
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixing import MixingMatrix, TargetInvalid, validate_target
-
-POWER_ITER_REL_TOL = 1e-10
-POWER_ITER_MAX = 10_000
-
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrices:
@@ -61,35 +57,12 @@ def op_norm_inf(m: np.ndarray) -> float:
     return float(m.sum(axis=1).max())
 
 
-def op_norm_2(
-    m: np.ndarray,
-    rel_tol: float = POWER_ITER_REL_TOL,
-    max_iter: int = POWER_ITER_MAX,
-) -> float:
-    """Spectral norm by power iteration on M^T M.
-
-    Deterministic all-ones start; stops when the Rayleigh quotient moves by
-    at most ``rel_tol`` relatively, errors out after ``max_iter`` rounds.
-    The start vector has positive overlap with the dominant eigenvector for
-    the nonnegative matrices used here.
-    """
+def op_norm_2(m: np.ndarray) -> float:
+    """Spectral norm (largest singular value), computed by LAPACK's SVD."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    gram = m.T @ m
-    x = np.ones(gram.shape[0]) / math.sqrt(gram.shape[0])
-    lam = float(x @ gram @ x)
-    for _ in range(max_iter):
-        y = gram @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        lam_new = float(x @ gram @ x)
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return math.sqrt(max(lam_new, 0.0))
-        lam = lam_new
-    raise RuntimeError(f"power iteration did not converge in {max_iter} rounds")
+    return float(np.linalg.norm(m, 2))
 
 
 def samson_bound(gamma: np.ndarray, t: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import FiniteMeasure, SeqSpace, uniform
-from .mixing import MixingMatrix, TargetInvalid, eta_bar, validate_target
+from .mixing import MixingMatrix, TargetInvalid, _block_laws, eta_bar, validate_target
 from .products import ProductMeasure
 
 #: Default bisection tolerance on |achieved - target|.  Tighter than the
@@ -211,8 +211,13 @@ def pure_row_measure(
     steps = []
     ts = range(n, k, -1) if order == "backward" else range(k + 1, n + 1)
     for t in ts:
-        v_star, trace_step = solve_v(mu, k, t, row.target(t), tol, max_iter)
-        mu = reweight(mu, k, t, v_star)
+        if order == "backward" and t < n and row.target(t) == row.target(t + 1):
+            # v = 1/2 is the identity tilt, and the cell already equals the
+            # one achieved at t+1 (see row_objective), so skip the solve.
+            trace_step = TraceStep(t, 0.5, 0, steps[-1].achieved, 2.0)
+        else:
+            v_star, trace_step = solve_v(mu, k, t, row.target(t), tol, max_iter)
+            mu = reweight(mu, k, t, v_star)
         steps.append(trace_step)
         iterates.append(mu)
     trace = ConstructionTrace(k, tuple(steps))
@@ -239,19 +244,8 @@ def check_conditional_preservation(
     if not 1 <= k < t <= n:
         raise ValueError(f"need 1 <= k < t <= n, got k={k} t={t} n={n}")
 
-    def block_laws(mu: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
-        heads = q ** k
-        mid = q ** (t - 1 - k)
-        tail = q ** (n - t + 1)
-        mass = mu.probs.reshape(heads, mid * tail).sum(axis=1)
-        block = mu.probs.reshape(heads, mid, tail).sum(axis=1)
-        laws = np.divide(
-            block, mass[:, None], out=np.zeros_like(block), where=mass[:, None] > 0.0
-        )
-        return laws, mass > 0.0
-
-    laws_b, alive_b = block_laws(before)
-    laws_a, alive_a = block_laws(after)
+    laws_b, alive_b, _ = next(_block_laws(before.probs, q, n, k, t))
+    laws_a, alive_a, _ = next(_block_laws(after.probs, q, n, k, t))
     if not np.array_equal(alive_b, alive_a):
         return False
     if not alive_b.any():

@@ -170,7 +170,18 @@ def write_product(path: str, pm: ProductMeasure) -> None:
 
 
 def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
+    return _parse_product_obj(_load(path), state_cap)
+
+
+def read_product_or_measure(path: str, state_cap: int | None = None) -> ProductMeasure:
+    """A product file, or a measure file read as a one-component product."""
     obj = _load(path)
+    if "components" in obj:
+        return _parse_product_obj(obj, state_cap)
+    return ProductMeasure((_parse_measure_obj(obj, state_cap),))
+
+
+def _parse_product_obj(obj: dict, state_cap: int | None) -> ProductMeasure:
     comps = obj.get("components")
     if not isinstance(comps, list) or not comps:
         raise FileFormatError("product file needs a nonempty components list")
@@ -183,13 +194,6 @@ def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
     if "n" in obj and int(obj["n"]) != pm.n:
         raise FileFormatError(f"declared n={obj['n']} but components have n={pm.n}")
     return pm
-
-
-def is_product_file(path: str) -> bool:
-    try:
-        return "components" in _load(path)
-    except FileFormatError:
-        return False
 
 
 # --------------------------------------------------------------------------

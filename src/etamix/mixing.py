@@ -16,6 +16,13 @@ Also here: the uniform-mixing coefficient phi (conditional law of a future
 block against the unconditional law, worst case over single positive-mass
 pasts), the inequality eta_bar_{ij} <= 2 * phi_{j-i}, and an informational
 scan comparing 0.5 * sum_g phi_g against 1 + max_i sum_{j>i} eta_bar_{ij}.
+
+eta_bar, phi and the construction's preservation check all read the same
+conditional block laws, produced by one kernel, `_block_laws`.  For a past
+length i it conditions on every length-i prefix once and then walks the
+block start j = i+1, ..., n, summing out one position per step.  One cell
+costs O(q^n); a whole matrix row, or every gap at one i, costs O(q^n) as
+well, so the full matrix and the full phi vector cost O(n q^n) each.
 """
 from __future__ import annotations
 
@@ -109,40 +116,59 @@ def eta_bar(mu: FiniteMeasure, i: int, j: int) -> float:
     value is 0.  Vectorized over all length-(i-1) stems at once.
     """
     _check_pair(mu.n, i, j)
-    return _cell(mu.probs, mu.q, mu.n, i, j)
+    laws, alive, _ = next(_block_laws(mu.probs, mu.q, mu.n, i, j))
+    return _sibling_max(laws, alive, mu.q)
 
 
-def _cell(probs: np.ndarray, q: int, n: int, i: int, j: int) -> float:
-    heads = q ** (i - 1)          # shared stems y
-    mid = q ** (j - 1 - i)        # positions marginalized out of the block
-    tail = q ** (n - j + 1)       # size of the future block law
-    mass = probs.reshape(heads * q, mid * tail).sum(axis=1)
-    block = probs.reshape(heads * q, mid, tail).sum(axis=1)
-    cond = np.divide(
-        block, mass[:, None], out=np.zeros_like(block), where=mass[:, None] > 0.0
-    ).reshape(heads, q, tail)
-    alive = (mass > 0.0).reshape(heads, q)
+def _block_laws(probs: np.ndarray, q: int, n: int, i: int, j: int):
+    """Laws of (X_s, ..., X_n) given each length-i prefix, for s = j, ..., n.
 
+    Yields ``(laws, alive, block)`` once per s: ``block`` is the unnormalized
+    joint of prefix and block, shape (q^i, q^(n-s+1)); ``laws`` divides each
+    row by its prefix mass (rows of dead prefixes are zero); ``alive`` marks
+    the prefixes with positive mass.  The prefix masses are summed once, and
+    each step sums out one position of the previous block, so a sweep over
+    every s touches O(q^n) numbers in total.
+    """
+    heads = q ** i
+    mass = probs.reshape(heads, -1).sum(axis=1)
+    alive = mass > 0.0
+    # a dead prefix has an all-zero block row, which dividing by 1 keeps zero
+    denom = np.where(alive, mass, 1.0)[:, None]
+    block = probs.reshape(heads, q ** (j - 1 - i), -1).sum(axis=1)
+    for s in range(j, n + 1):
+        if s > j:
+            block = block.reshape(heads, q, -1).sum(axis=1)
+        yield block / denom, alive, block
+
+
+def _sibling_max(laws: np.ndarray, alive: np.ndarray, q: int) -> float:
+    """Largest TV distance between the laws of two live sibling prefixes,
+    i.e. prefixes that differ only in their last symbol."""
+    cond = laws.reshape(-1, q, laws.shape[1])
+    alive = alive.reshape(-1, q)
     best = 0.0
     for a in range(q):
         for b in range(a + 1, q):
             both = alive[:, a] & alive[:, b]
             if not both.any():
                 continue
-            d = 0.5 * np.abs(cond[:, a, :] - cond[:, b, :]).sum(axis=1)
-            m = float(d[both].max())
-            if m > best:
-                best = m
+            d = 0.5 * np.abs(cond[:, a] - cond[:, b]).sum(axis=1)
+            best = max(best, float(d[both].max()))
     return best
 
 
 def mixing_matrix(mu: FiniteMeasure) -> MixingMatrix:
-    """Full matrix of eta_bar coefficients for all position pairs i < j."""
+    """Full matrix of eta_bar coefficients for all position pairs i < j.
+
+    Row i comes from one sweep of the block start j = i+1, ..., n.
+    """
     n = mu.n
     ent = np.zeros((n, n))
     for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            ent[i - 1, j - 1] = _cell(mu.probs, mu.q, n, i, j)
+        sweep = _block_laws(mu.probs, mu.q, n, i, i + 1)
+        for j, (laws, alive, _) in enumerate(sweep, start=i + 1):
+            ent[i - 1, j - 1] = _sibling_max(laws, alive, mu.q)
     return MixingMatrix(ent)
 
 
@@ -203,28 +229,9 @@ def phi(mu: FiniteMeasure, g: int) -> float:
     worst case over past *events* equals the worst case over atoms, since a
     conditional law given a union is a convex mixture of the atom laws.
     """
-    n, q = mu.n, mu.q
-    if not 1 <= g <= n - 1:
-        raise ValueError(f"gap {g} outside 1..{n - 1}")
-    best = 0.0
-    for i in range(1, n - g + 1):
-        j = i + g
-        heads = q ** i
-        mid = q ** (j - 1 - i)
-        tail = q ** (n - j + 1)
-        mass = mu.probs.reshape(heads, mid * tail).sum(axis=1)
-        block = mu.probs.reshape(heads, mid, tail).sum(axis=1)
-        uncond = block.sum(axis=0)
-        cond = np.divide(
-            block, mass[:, None], out=np.zeros_like(block), where=mass[:, None] > 0.0
-        )
-        d = 0.5 * np.abs(cond - uncond[None, :]).sum(axis=1)
-        alive = mass > 0.0
-        if alive.any():
-            m = float(d[alive].max())
-            if m > best:
-                best = m
-    return best
+    if not 1 <= g <= mu.n - 1:
+        raise ValueError(f"gap {g} outside 1..{mu.n - 1}")
+    return float(phi_vector(mu).values[g - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +250,16 @@ class PhiVector:
 
 
 def phi_vector(mu: FiniteMeasure) -> PhiVector:
-    return PhiVector(mu.n, np.array([phi(mu, g) for g in range(1, mu.n)]))
+    """:func:`phi` at every gap, from one sweep per past length i."""
+    n = mu.n
+    values = np.zeros(n - 1)
+    for i in range(1, n):
+        sweep = _block_laws(mu.probs, mu.q, n, i, i + 1)
+        for g, (laws, alive, block) in enumerate(sweep, start=1):
+            # the unconditional block law is the column sum of the joint
+            d = 0.5 * np.abs(laws - block.sum(axis=0)).sum(axis=1)
+            values[g - 1] = max(values[g - 1], float(d[alive].max()))
+    return PhiVector(n, values)
 
 
 def check_samson_inequality(mu: FiniteMeasure, slack: float = 1e-9) -> bool:

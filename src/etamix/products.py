@@ -128,7 +128,6 @@ class FactoredMixing:
 
 def factored_mixing_matrix(pm: ProductMeasure) -> FactoredMixing:
     """Mixing-matrix bounds of a parallel product from its components alone."""
-    n = pm.n
     cells = np.stack([mixing_matrix(c).entries for c in pm.components])
     lower = cells.max(axis=0)
     upper = np.minimum(1.0, cells.sum(axis=0))

@@ -96,6 +96,25 @@ class TestConstructRoundTrip:
         r = run_cli("construct", target_file, "-o", str(tmp_path / "pm.json"))
         assert "max |achieved - target|" in r.stdout
 
+    FLAT_TARGET = [[0.0, 0.7, 0.3, 0.3], [0.0, 0.0, 0.6, 0.6], [0.0, 0.0, 0.0, 0.3],
+                   [0.0] * 4]
+
+    def test_nonpositive_tolerance_exit_code(self, tmp_path):
+        h = str(tmp_path / "h.json")
+        write_matrix(h, MixingMatrix(self.FLAT_TARGET))
+        for tol in ("-1", "0"):
+            r = run_cli("construct", h, "-o", str(tmp_path / "pm.json"), "--tolerance", tol)
+            assert r.returncode == 2
+            assert r.stderr.count("\n") == 1 and "--tolerance" in r.stderr
+
+    def test_flat_rows_at_tiny_tolerance(self, tmp_path):
+        # Equal neighbours take v = 1/2 exactly, so float noise in f(1/2)
+        # cannot push the target outside the bisection bracket.
+        h = str(tmp_path / "h.json")
+        write_matrix(h, MixingMatrix(self.FLAT_TARGET))
+        r = run_cli("construct", h, "-o", str(tmp_path / "pm.json"), "--tolerance", "1e-20")
+        assert r.returncode == 0, r.stderr
+
 
 class TestProduct:
     def test_multiple_measure_files(self, tmp_path):
@@ -128,13 +147,19 @@ class TestValidate:
 
 class TestBounds:
     def test_report_written(self, tmp_path, target_file):
-        out = str(tmp_path / "b.json")
-        r = run_cli("bounds", target_file, "--t", "1.0", "-o", out)
-        assert r.returncode == 0, r.stderr
-        obj = json.loads(open(out).read())
-        assert obj["version"] == FORMAT_VERSION
-        assert 0.0 < obj["samson"] < 2.0
-        assert obj["norm_inf"] == 2.0
+        # The second target's Delta has two nearly equal singular values.
+        near = str(tmp_path / "near.json")
+        write_matrix(near, MixingMatrix(
+            [[0.0, 0.5, 0.0, 0.0], [0.0] * 4, [0.0, 0.0, 0.0, 0.4999], [0.0] * 4]
+        ))
+        for path, norm_inf in ((target_file, 2.0), (near, 1.5)):
+            out = str(tmp_path / "b.json")
+            r = run_cli("bounds", path, "--t", "1.0", "-o", out)
+            assert r.returncode == 0, r.stderr
+            obj = json.loads(open(out).read())
+            assert obj["version"] == FORMAT_VERSION
+            assert 0.0 < obj["samson"] < 2.0
+            assert obj["norm_inf"] == norm_inf
 
 
 class TestRate:

@@ -67,6 +67,13 @@ class TestOpNorm2:
         want = oracles.spectral_norm_2x2_charpoly(m)
         assert want == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-15)
         assert op_norm_2(np.array(m)) == pytest.approx(want, abs=1e-9)
+        # Delta of the target with rows 0.5 and 0.4999 on disjoint pairs: its
+        # two largest singular values nearly coincide, and the norm is that
+        # of the larger 2x2 block.
+        near = np.eye(4)
+        near[0, 1], near[2, 3] = 0.5, 0.4999
+        want = oracles.spectral_norm_2x2_charpoly([[1.0, 0.5], [0.0, 1.0]])
+        assert op_norm_2(near) == pytest.approx(want, abs=1e-12)
 
     def test_diagonal(self):
         assert op_norm_2(np.diag([3.0, 2.0])) == pytest.approx(3.0, abs=1e-9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import etamix.construction as construction
 from etamix import (
     BracketError,
     MixingMatrix,
@@ -203,6 +204,20 @@ class TestPureRowMeasure:
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
         _, _, its = pure_row_measure(4, row, return_iterates=True)
         assert not check_conditional_preservation(its[0], its[1], 1, 3)
+
+    def test_flat_segment_skips_the_solve(self, monkeypatch):
+        solved = []
+        real = construction.row_objective
+
+        def counting(mu, k, t, v):
+            solved.append(t)
+            return real(mu, k, t, v)
+
+        monkeypatch.setattr(construction, "row_objective", counting)
+        mu, trace = pure_row_measure(5, ValidRow(5, 1, (0.6,) * 4))
+        assert set(solved) == {5}
+        assert [(s.v_star, s.iterations) for s in trace.steps[1:]] == [(0.5, 0)] * 3
+        assert np.allclose(mixing_matrix(mu).entries[0, 1:], 0.6, atol=1e-12)
 
     def test_row_n_mismatch(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,26 @@ def three_quarters_chain():
     return from_weights(SeqSpace(2, 2), [0.375, 0.125, 0.125, 0.375])
 
 
+def dead_prefix_measure(q, n, rng):
+    """Random measure with prefixes of several lengths carrying no mass."""
+    w = rng.uniform(0.0, 1.0, size=(q,) * n)
+    w[1, 0] = 0.0
+    w[0, 1, 1] = 0.0
+    w[1, 1, 0, 1] = 0.0
+    return from_weights(SeqSpace(q, n), w.ravel())
+
+
+def oracle_inputs():
+    """Measures checked against the slow oracles: full support at several
+    shapes, plus zero-mass prefixes that reach every step of a sweep."""
+    rng = np.random.default_rng(9)
+    yield random_full_support(2, 4, rng)
+    yield random_full_support(3, 4, rng)
+    yield random_full_support(2, 6, rng)
+    yield dead_prefix_measure(2, 5, rng)
+    yield dead_prefix_measure(3, 4, rng)
+
+
 def iid_then_copy():
     """X1 fair and independent, X3 equal to X2, X2 fair."""
     return from_weights(SeqSpace(2, 3), [1, 0, 0, 1, 1, 0, 0, 1])
@@ -115,10 +135,10 @@ class TestMixingMatrix:
         assert np.array_equal(mixing_matrix(copy_chain(3)).entries, COPY3_MATRIX)
 
     def test_matches_slow_oracle(self):
-        mu = random_full_support(2, 4, np.random.default_rng(9))
-        fast = mixing_matrix(mu).entries
-        slow = oracles.mixing_matrix_slow(mu)
-        assert np.allclose(fast, slow, atol=1e-12)
+        for mu in oracle_inputs():
+            fast = mixing_matrix(mu).entries
+            slow = oracles.mixing_matrix_slow(mu)
+            assert np.abs(fast - np.array(slow)).max() <= 1e-12, (mu.q, mu.n)
 
     def test_realizability_properties_hold(self):
         # Computed matrices carry ~1e-16 noise in cells that tie exactly,
@@ -190,9 +210,10 @@ class TestPhi:
 
     def test_matches_slow_oracle(self):
         rng = np.random.default_rng(17)
-        mu = random_full_support(2, 4, rng)
-        for g in range(1, 4):
-            assert phi(mu, g) == pytest.approx(oracles.phi_slow(mu, g), abs=1e-12)
+        for mu in (random_full_support(2, 4, rng), *oracle_inputs()):
+            for g in range(1, mu.n):
+                want = oracles.phi_slow(mu, g)
+                assert phi(mu, g) == pytest.approx(want, abs=1e-12), (mu.q, mu.n, g)
 
     def test_gap_bounds_checked(self):
         mu = uniform(2, 3)
