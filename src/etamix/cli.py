@@ -3,8 +3,9 @@
 Subcommands: mix, construct, rate, bounds, validate, product, scan.  Exit
 codes: 0 success, 1 failed checkpoint audit, 2 unreadable or malformed
 input, 3 state cap exceeded, 4 invalid mixing target, 5 rate horizon too
-small.  Output files are written atomically and depend only on the inputs
-and the seed, so reruns are byte-identical.
+small, 6 internal error (a solver failure such as a bisection bracket that
+misses its target).  Output files are written atomically and depend only on
+the inputs and the seed, so reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ EXIT_PARSE = 2
 EXIT_STATE_CAP = 3
 EXIT_BAD_TARGET = 4
 EXIT_HORIZON = 5
+EXIT_INTERNAL = 6
 
 
 def _cmd_mix(args) -> int:
@@ -191,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

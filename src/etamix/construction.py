@@ -14,6 +14,16 @@ descending order matters: a visit at position t-1 leaves every conditional
 law of (X_t, ..., X_n) given the first k symbols untouched, so the cells
 already matched at t, t+1, ..., n stay matched.
 
+The result is a flip vector: X_1, ..., X_k are iid fair bits and each later
+X_t equals X_k with probability v_t, independently.  Cell (k, t) is then
+TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), and the bisection evaluates
+that closed form on the tail law of the visited positions after t, leaving
+out those with v_s = 1/2, which cancel.  One evaluation costs O(|T|) with
+|T| <= 2^(number of solved positions).  The dense 2^n measure is tilted once
+per solved position, and eta_bar on it records the achieved value, so one
+row costs O(n 2^n) beyond the solves.  :func:`row_objective` is the dense
+oracle the closed form agrees with.
+
 Visiting positions in ascending order (kept as order="forward" for
 demonstration) solves each cell as if the later positions were untouched, so
 it picks v_t = (1 + h_t) / 2; the later tilts then move cell (k, t) to
@@ -28,7 +38,9 @@ valid target matrix; see :func:`construct_from_target`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -127,7 +139,7 @@ def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
 
 
 def row_objective(mu: FiniteMeasure, k: int, t: int, v: float) -> float:
-    """eta_bar(reweight(mu, k, t, v), k, t), the function bisection drives.
+    """eta_bar(reweight(mu, k, t, v), k, t), the dense form of the cell.
 
     On the uniform measure at the first visited position this is |2v - 1|:
     0 at v = 1/2 and 1 at both endpoints.  At later positions its value at
@@ -137,6 +149,17 @@ def row_objective(mu: FiniteMeasure, k: int, t: int, v: float) -> float:
     return eta_bar(reweight(mu, k, t, v), k, t)
 
 
+def _flip_cell(tail: np.ndarray, v: float) -> float:
+    """TV(p, p[::-1]) for p = [v, 1-v] (x) tail: cell (k, t) of a pure row.
+
+    ``tail`` is the law of the flips at the positions after t; reversing the
+    vector flips every bit.  d = p - p[::-1] is antisymmetric under
+    reversal, so both halves of |d| have the same sum and the TV is the sum
+    over the first half.
+    """
+    return float(np.abs(v * tail - (1.0 - v) * tail[::-1]).sum())
+
+
 def solve_v(
     mu: FiniteMeasure,
     k: int,
@@ -144,22 +167,24 @@ def solve_v(
     target: float,
     tol: float = SOLVE_TOL,
     max_iter: int = SOLVE_MAX_ITER,
+    objective: Callable[[float], float] | None = None,
 ) -> tuple[float, TraceStep]:
-    """Find v in [1/2, 1] with row_objective(mu, k, t, v) = target.
+    """Find v in [1/2, 1] with objective(v) = target.
 
-    Endpoints are returned without bisection when they already meet the
-    tolerance.  Otherwise a sign bracket of f(v) - target is maintained; the
-    last midpoint is returned after ``max_iter`` halvings even if the
-    tolerance was not met (the trace records what was achieved).
+    ``objective`` defaults to row_objective(mu, k, t, v), and the trace's
+    alpha is then that of reweighting mu at the returned v.  A caller that
+    passes its own objective does the reweighting itself, so alpha is NaN
+    for it to fill in.  Endpoints are returned without bisection when they
+    already meet the tolerance.  Otherwise a sign bracket of f(v) - target
+    is maintained; the last midpoint is returned after ``max_iter`` halvings
+    even if the tolerance was not met (the trace records what was achieved).
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target {target!r} outside [0, 1]")
-
-    def f(v: float) -> float:
-        return row_objective(mu, k, t, v)
+    f = partial(row_objective, mu, k, t) if objective is None else objective
 
     def step(v: float, iters: int, achieved: float) -> tuple[float, TraceStep]:
-        _, alpha = _reweight(mu, k, t, v)
+        alpha = _reweight(mu, k, t, v)[1] if objective is None else float("nan")
         return v, TraceStep(t, v, iters, achieved, alpha)
 
     f_lo = f(0.5)
@@ -216,18 +241,28 @@ def pure_row_measure(
     if order not in ("backward", "forward"):
         raise ValueError(f"unknown order {order!r}")
     k = row.k
+    backward = order == "backward"
     mu = uniform(SeqSpace(2, n))
     iterates = [mu]
     steps = []
-    ts = range(n, k, -1) if order == "backward" else range(k + 1, n + 1)
+    # Law of the flips at the visited positions after t (none in ascending
+    # order); positions with v = 1/2 cancel in the cell and are left out.
+    tail = np.ones(1)
+    ts = range(n, k, -1) if backward else range(k + 1, n + 1)
     for t in ts:
-        if order == "backward" and t < n and row.target(t) == row.target(t + 1):
+        if backward and t < n and row.target(t) == row.target(t + 1):
             # v = 1/2 is the identity tilt, and the cell already equals the
             # one achieved at t+1 (see row_objective), so skip the solve.
             trace_step = TraceStep(t, 0.5, 0, steps[-1].achieved, 2.0)
         else:
-            v_star, trace_step = solve_v(mu, k, t, row.target(t), tol, max_iter)
-            mu = reweight(mu, k, t, v_star)
+            v_star, trace_step = solve_v(
+                mu, k, t, row.target(t), tol, max_iter, objective=partial(_flip_cell, tail)
+            )
+            probs, alpha = _reweight(mu, k, t, v_star)
+            mu = FiniteMeasure(mu.space, probs)
+            trace_step = replace(trace_step, achieved=eta_bar(mu, k, t), alpha=alpha)
+            if backward and v_star != 0.5:
+                tail = np.kron([v_star, 1.0 - v_star], tail)
         steps.append(trace_step)
         iterates.append(mu)
     trace = ConstructionTrace(k, tuple(steps))

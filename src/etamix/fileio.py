@@ -36,8 +36,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _float_list(xs) -> str:
-    return "[" + ", ".join(_fmt(x) for x in xs) + "]"
+def _float_list(xs: np.ndarray) -> str:
+    return "[" + ", ".join([format(x, ".17g") for x in xs.tolist()]) + "]"
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -200,13 +200,23 @@ def _parse_product_obj(obj: dict, state_cap: int | None) -> ProductMeasure:
 # process specs (input only)
 
 
+def _strict_int(x, what: str) -> int:
+    """x as an int when it is an integral JSON number and not a bool."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FileFormatError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def read_process_spec(path: str):
     """Returns (RateFunction, k_max, n_max, eps-or-None)."""
     obj = _load(path)
     try:
-        k_max, n_max, rate = int(obj["k_max"]), int(obj["n_max"]), obj["rate"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"process spec missing/invalid fields: {exc}") from exc
+        k_max, n_max, rate = obj["k_max"], obj["n_max"], obj["rate"]
+    except KeyError as exc:
+        raise FileFormatError(f"process spec missing field {exc}") from exc
+    k_max, n_max = _strict_int(k_max, "k_max"), _strict_int(n_max, "n_max")
     if k_max < 1:
         raise FileFormatError(f"k_max must be >= 1, got {k_max}")
     if n_max < 2:
@@ -222,7 +232,7 @@ def read_process_spec(path: str):
             raise FileFormatError(
                 f"rate table has {len(values)} entries, need n_max={n_max}"
             )
-        r = RateFunction(tuple(int(v) for v in values))
+        r = RateFunction(tuple(_strict_int(v, "rate table value") for v in values))
     elif kind == "builtin":
         name = rate.get("name")
         if name == "sqrt":
@@ -230,10 +240,7 @@ def read_process_spec(path: str):
         elif name == "linear":
             r = RateFunction.linear(n_max)
         elif name == "const":
-            try:
-                c = int(rate["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FileFormatError("const rate needs an integer value") from exc
+            c = _strict_int(rate.get("value"), "const rate value")
             r = RateFunction.constant(c, n_max)
         else:
             raise FileFormatError(f"unknown builtin rate {name!r}")

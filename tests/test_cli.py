@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from etamix import MixingMatrix, mixing_matrix, uniform
+import etamix.construction as construction
+from etamix import BracketError, MixingMatrix, mixing_matrix, uniform
+from etamix.cli import main
 from etamix.fileio import (
     FORMAT_VERSION,
     atomic_write,
@@ -115,6 +117,17 @@ class TestConstructRoundTrip:
         r = run_cli("construct", h, "-o", str(tmp_path / "pm.json"), "--tolerance", "1e-20")
         assert r.returncode == 0, r.stderr
 
+    def test_solver_failure_exit_code(self, tmp_path, target_file, monkeypatch, capsys):
+        def failing(mu, k, t, target, *args, **kwargs):
+            raise BracketError(f"target {target!r} for pair ({k},{t}) outside bracket")
+
+        monkeypatch.setattr(construction, "solve_v", failing)
+        pm = tmp_path / "pm.json"
+        assert main(["construct", target_file, "-o", str(pm)]) == 6
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside bracket" in err
+        assert not pm.exists()
+
 
 class TestProduct:
     def test_multiple_measure_files(self, tmp_path):
@@ -197,6 +210,35 @@ class TestRate:
         )
         r = run_cli("rate", spec, "-o", str(tmp_path / "cp.csv"))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rate": {"kind": "table", "values": [1, 2, 2, 3, 3, 3, 4, 4]},
+             "k_max": 2.7, "n_max": 8},
+            {"rate": {"kind": "table", "values": [1, 1.9, 2, 3, 3, 3, 4, 4]},
+             "k_max": 2, "n_max": 8},
+            {"rate": {"kind": "table", "values": [1, 2, True, 3, 3, 3, 4, 4]},
+             "k_max": 2, "n_max": 8},
+            {"rate": {"kind": "builtin", "name": "sqrt"}, "k_max": 2, "n_max": True},
+            {"rate": {"kind": "builtin", "name": "const", "value": 2.5},
+             "k_max": 1, "n_max": 8},
+        ],
+    )
+    def test_non_integer_spec_exit_code(self, tmp_path, obj, capsys):
+        # int() used to truncate these to a spec that passed its checkpoints
+        out = tmp_path / "cp.csv"
+        assert main(["rate", self._spec(tmp_path, obj), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be an integer" in err
+        assert not out.exists()
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "sqrt"}, "k_max": 3.0, "n_max": 12.0},
+        )
+        assert main(["rate", spec, "-o", str(tmp_path / "cp.csv")]) == 0
 
 
 class TestScan:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etamix.construction as construction
 from etamix import (
@@ -10,6 +12,7 @@ from etamix import (
     ValidRow,
     check_conditional_preservation,
     construct_from_target,
+    eta_bar,
     factored_mixing_matrix,
     from_weights,
     marginal,
@@ -21,6 +24,8 @@ from etamix import (
     solve_v,
     uniform,
 )
+
+from oracles import mixing_matrix_slow
 
 
 class TestValidRow:
@@ -207,13 +212,13 @@ class TestPureRowMeasure:
 
     def test_flat_segment_skips_the_solve(self, monkeypatch):
         solved = []
-        real = construction.row_objective
+        real = construction.solve_v
 
-        def counting(mu, k, t, v):
+        def counting(mu, k, t, *args, **kwargs):
             solved.append(t)
-            return real(mu, k, t, v)
+            return real(mu, k, t, *args, **kwargs)
 
-        monkeypatch.setattr(construction, "row_objective", counting)
+        monkeypatch.setattr(construction, "solve_v", counting)
         mu, trace = pure_row_measure(5, ValidRow(5, 1, (0.6,) * 4))
         assert set(solved) == {5}
         assert [(s.v_star, s.iterations) for s in trace.steps[1:]] == [(0.5, 0)] * 3
@@ -251,6 +256,75 @@ class TestVisitOrder:
         fwd, _ = pure_row_measure(4, row, order="forward")
         bwd, _ = pure_row_measure(4, row)
         assert np.array_equal(fwd.probs, bwd.probs)
+
+
+@st.composite
+def _tilted_pure_rows(draw):
+    """(n, k, t, later, v): flips ``later`` at positions n, n-1, ..., t+1."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    t = draw(st.integers(k + 1, n))
+    flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0))
+    later = draw(st.lists(flip, min_size=n - t, max_size=n - t))
+    return n, k, t, later, draw(flip)
+
+
+class TestClosedFormCell:
+    @settings(max_examples=200, deadline=None)
+    @given(_tilted_pure_rows())
+    def test_matches_dense_row_objective(self, case):
+        n, k, t, later, v = case
+        mu = uniform(2, n)
+        tail = np.ones(1)
+        for s, v_s in zip(range(n, t, -1), later):
+            mu = reweight(mu, k, s, v_s)
+            if v_s != 0.5:
+                tail = np.kron([v_s, 1.0 - v_s], tail)
+        dense = row_objective(mu, k, t, v)
+        assert abs(construction._flip_cell(tail, v) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["backward", "forward"])
+    @pytest.mark.parametrize(
+        "n,k,h",
+        [
+            (4, 1, (0.8, 0.5, 0.2)),
+            (4, 1, (0.5, 0.5, 0.2)),
+            (6, 2, (0.9, 0.6, 0.6, 0.1)),
+            (5, 1, (1.0, 0.7, 0.7, 0.0)),
+            (5, 3, (0.0, 0.0)),
+            (8, 1, (0.93, 0.81, 0.62, 0.62, 0.4, 0.17, 0.05)),
+        ],
+    )
+    def test_measure_is_the_replayed_reweight_chain(self, order, n, k, h):
+        row = ValidRow(n, k, h)
+        mu, trace = pure_row_measure(n, row, order=order)
+        replay = uniform(2, n)
+        for step in trace.steps:
+            t = step.t
+            if order == "backward" and t < n and row.target(t) == row.target(t + 1):
+                assert (step.v_star, step.iterations, step.alpha) == (0.5, 0, 2.0)
+            else:
+                _, alpha = construction._reweight(replay, k, t, step.v_star)
+                replay = reweight(replay, k, t, step.v_star)
+                assert step.alpha == alpha
+            assert step.achieved == eta_bar(replay, k, t)
+        assert np.array_equal(mu.probs, replay.probs)
+
+
+class TestRealizesRandomTargets:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_valid_target_realized_against_oracle(self, data):
+        n = data.draw(st.integers(1, 5))
+        level = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        entries = np.zeros((n, n))
+        for i in range(n - 1):
+            row = data.draw(st.lists(level, min_size=n - 1 - i, max_size=n - 1 - i))
+            entries[i, i + 1 :] = sorted(row, reverse=True)
+        pm, _ = construct_from_target(MixingMatrix(entries))
+        # each cell is nonzero in one component only, so the components sum
+        achieved = sum(np.array(mixing_matrix_slow(c)) for c in pm.components)
+        assert np.abs(achieved - entries).max() <= 1e-9
 
 
 class TestConstructFromTarget:
