@@ -37,7 +37,18 @@ def _fmt(x: float) -> str:
 
 
 def _float_list(xs: np.ndarray) -> str:
-    return "[" + ", ".join([format(x, ".17g") for x in xs.tolist()]) + "]"
+    """JSON list of xs at 17 significant digits, formatting each distinct value once.
+
+    A pure row built on 2^n atoms holds at most 2^(n-k) distinct
+    probabilities, so writing a product formats a small share of its
+    values.  Values are told apart by their bits, so -0.0 and 0.0 keep
+    their own text.
+    """
+    bits, where = np.unique(
+        np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    text = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+    return "[" + ", ".join([text[i] for i in where.tolist()]) + "]"
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -23,6 +23,7 @@ from etamix import (
 from etamix.fileio import (
     FORMAT_VERSION,
     FileFormatError,
+    _float_list,
     atomic_write,
     bounds_to_json,
     checkpoint_csv,
@@ -71,6 +72,11 @@ class TestMeasureRoundTrip:
     def test_seventeen_digit_floats(self):
         mu = from_weights(SeqSpace(2, 1), [1.0, 2.0])
         assert "0.33333333333333331" in measure_to_json(mu)
+
+    def test_float_list_formats_every_value(self):
+        xs = np.array([0.1, -0.0, 0.0, 0.1, 1 / 3, 5e-324, 1 / 3, 1e22, -0.0])
+        for v in (xs, xs[::2], np.random.default_rng(4).random(50)):
+            assert _float_list(v) == "[" + ", ".join(format(float(x), ".17g") for x in v) + "]"
 
     def test_version_tag_present(self):
         obj = json.loads(measure_to_json(uniform(2, 2)))
