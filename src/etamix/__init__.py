@@ -46,6 +46,7 @@ from .products import (
 from .construction import (
     BracketError,
     ConstructionTrace,
+    PureRow,
     TraceStep,
     ValidRow,
     check_conditional_preservation,
@@ -53,6 +54,7 @@ from .construction import (
     pure_row_measure,
     reweight,
     row_objective,
+    solve_row,
     solve_v,
 )
 from .process import (

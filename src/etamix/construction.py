@@ -19,10 +19,13 @@ X_t equals X_k with probability v_t, independently.  Cell (k, t) is then
 TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), and the bisection evaluates
 that closed form on the tail law of the visited positions after t, leaving
 out those with v_s = 1/2, which cancel.  One evaluation costs O(|T|) with
-|T| <= 2^(number of solved positions).  The dense 2^n measure is tilted once
-per solved position, and eta_bar on it records the achieved value, so one
-row costs O(n 2^n) beyond the solves.  :func:`row_objective` is the dense
-oracle the closed form agrees with.
+|T| <= 2^(number of solved positions).  :func:`solve_row` runs the whole
+solve this way and returns the flip vector as a :class:`PureRow`, whose
+mixing matrix is closed-form too; no dense measure is built.
+:func:`pure_row_measure` then tilts the dense 2^n measure once per solved
+position, and eta_bar on it records the achieved value, so one dense row
+costs O(n 2^n) beyond the solves.  :func:`row_objective` is the dense oracle
+the closed form agrees with.
 
 Visiting positions in ascending order (kept as order="forward" for
 demonstration) solves each cell as if the later positions were untouched, so
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -91,6 +94,88 @@ class ValidRow:
         if not self.k < t <= self.n:
             raise ValueError(f"need k < t <= n, got t={t} for k={self.k} n={self.n}")
         return self.h[t - self.k - 1]
+
+
+@dataclass(frozen=True)
+class PureRow:
+    """Flip-vector form of a pure row-k measure on {0,1}^n.
+
+    X_1, ..., X_k are iid fair bits and, independently for each t > k, X_t
+    equals X_k with probability ``v[t-k-1]``.  The mixing matrix and the
+    dense measure are both computed from v; the read interface of a
+    :class:`FiniteMeasure` (``q``, ``n``, ``space``, ``probs``,
+    ``tensor()``) is there for callers that want the atoms, which are built
+    on first access to ``probs``.
+    """
+
+    n: int
+    k: int
+    v: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+        if not 1 <= self.k < self.n:
+            raise ValueError(f"need 1 <= k < n, got k={self.k} n={self.n}")
+        if len(self.v) != self.n - self.k:
+            raise ValueError(
+                f"flips for k={self.k}, n={self.n} need {self.n - self.k} entries, "
+                f"got {len(self.v)}"
+            )
+        for x in self.v:
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"flip probability {x!r} outside [0, 1]")
+
+    @property
+    def q(self) -> int:
+        return 2
+
+    @property
+    def space(self) -> SeqSpace:
+        """The dense space {0,1}^n; raises StateCapExceeded past the cap."""
+        return SeqSpace(2, self.n)
+
+    def matrix(self, m: int | None = None) -> np.ndarray:
+        """Mixing matrix of the length-m prefix (default n), as an m-by-m array.
+
+        Given the first k bits, the later ones depend on X_k alone, so every
+        row but k is zero, and cell (k, t) is TV(prod_{t<=s<=m} Bern(v_s),
+        its bit-flip mirror).  Positions with v_s = 1/2 cancel, so the cost
+        is O(sum of the tail lengths), with no 2^m measure.
+        """
+        m = self.n if m is None else m
+        if not 1 <= m <= self.n:
+            raise ValueError(f"prefix length {m} outside 1..{self.n}")
+        out = np.zeros((m, m))
+        tail, cell = np.ones(1), 0.0
+        for t in range(m, self.k, -1):
+            v = self.v[t - self.k - 1]
+            if v != 0.5:
+                cell = _flip_cell(tail, v)
+                tail = np.kron([v, 1.0 - v], tail)
+            out[self.k - 1, t - 1] = cell
+        return out
+
+    def dense(self) -> FiniteMeasure:
+        """The uniform measure tilted at each t with v_t != 1/2, from t = n down.
+
+        This is the measure :func:`pure_row_measure` returns in its default
+        order, bit for bit.  The one exception is a solve there that lands on
+        v_t = 1/2 after an earlier tilt: it replays that identity tilt, whose
+        renormalization can move the atoms by a rounding error.
+        """
+        mu = uniform(SeqSpace(2, self.n))
+        for t in range(self.n, self.k, -1):
+            v = self.v[t - self.k - 1]
+            if v != 0.5:
+                mu = reweight(mu, self.k, t, v)
+        return mu
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return self.dense().probs
+
+    def tensor(self) -> np.ndarray:
+        return self.probs.reshape((2,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -161,7 +246,7 @@ def _flip_cell(tail: np.ndarray, v: float) -> float:
 
 
 def solve_v(
-    mu: FiniteMeasure,
+    mu: FiniteMeasure | None,
     k: int,
     t: int,
     target: float,
@@ -173,11 +258,12 @@ def solve_v(
 
     ``objective`` defaults to row_objective(mu, k, t, v), and the trace's
     alpha is then that of reweighting mu at the returned v.  A caller that
-    passes its own objective does the reweighting itself, so alpha is NaN
-    for it to fill in.  Endpoints are returned without bisection when they
-    already meet the tolerance.  Otherwise a sign bracket of f(v) - target
-    is maintained; the last midpoint is returned after ``max_iter`` halvings
-    even if the tolerance was not met (the trace records what was achieved).
+    passes its own objective does the reweighting itself, so mu is not read
+    (it may be None) and alpha is NaN for the caller to fill in.  Endpoints
+    are returned without bisection when they already meet the tolerance.
+    Otherwise a sign bracket of f(v) - target is maintained; the last
+    midpoint is returned after ``max_iter`` halvings even if the tolerance
+    was not met (the trace records what was achieved).
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target {target!r} outside [0, 1]")
@@ -213,6 +299,49 @@ def solve_v(
     return step(mid, max_iter, f_mid)
 
 
+def _skips_solve(row: ValidRow, t: int, backward: bool) -> bool:
+    """A flat segment in descending order: v = 1/2 is the identity tilt, and
+    the cell already equals the one achieved at t+1 (see row_objective)."""
+    return backward and t < row.n and row.target(t) == row.target(t + 1)
+
+
+def solve_row(
+    row: ValidRow,
+    tol: float = SOLVE_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
+    order: str = "backward",
+) -> tuple[PureRow, tuple[TraceStep, ...]]:
+    """Flip vector for ``row``, solved on the closed-form cell alone.
+
+    Returns the :class:`PureRow` and one step per position in visit order.
+    A step's ``achieved`` is the closed-form cell and its ``alpha`` is 2,
+    the normalization of a tilt on a still-fair X_t.  Builds no dense
+    measure.  ``order`` is as in :func:`pure_row_measure`.
+    """
+    if order not in ("backward", "forward"):
+        raise ValueError(f"unknown order {order!r}")
+    k, n = row.k, row.n
+    backward = order == "backward"
+    steps = []
+    # Law of the flips at the visited positions after t (none in ascending
+    # order); positions with v = 1/2 cancel in the cell and are left out.
+    tail = np.ones(1)
+    ts = range(n, k, -1) if backward else range(k + 1, n + 1)
+    for t in ts:
+        if _skips_solve(row, t, backward):
+            step = TraceStep(t, 0.5, 0, steps[-1].achieved, 2.0)
+        else:
+            _, step = solve_v(
+                None, k, t, row.target(t), tol, max_iter, objective=partial(_flip_cell, tail)
+            )
+            step = replace(step, alpha=2.0)
+            if backward and step.v_star != 0.5:
+                tail = np.kron([step.v_star, 1.0 - step.v_star], tail)
+        steps.append(step)
+    v = sorted((s.t, s.v_star) for s in steps)
+    return PureRow(n, k, tuple(x for _, x in v)), tuple(steps)
+
+
 def pure_row_measure(
     n: int,
     row: ValidRow,
@@ -227,7 +356,9 @@ def pure_row_measure(
     Returns (measure, trace), or (measure, trace, iterates) with the full
     list of intermediate measures when ``return_iterates`` is set.  The
     iterates let callers verify that each step preserved the conditional
-    laws of the not-yet-visited future blocks.
+    laws of the not-yet-visited future blocks.  The v's come from
+    :func:`solve_row`; each solved position is then replayed as one dense
+    tilt, and the trace records the dense alpha and eta_bar.
 
     ``order="forward"`` visits positions in ascending order instead.  That
     variant has no preservation guarantee and exists to demonstrate that the
@@ -238,32 +369,20 @@ def pure_row_measure(
     """
     if row.n != n:
         raise ValueError(f"row was built for n={row.n}, not n={n}")
-    if order not in ("backward", "forward"):
-        raise ValueError(f"unknown order {order!r}")
+    _, solved = solve_row(row, tol, max_iter, order)
     k = row.k
     backward = order == "backward"
     mu = uniform(SeqSpace(2, n))
     iterates = [mu]
     steps = []
-    # Law of the flips at the visited positions after t (none in ascending
-    # order); positions with v = 1/2 cancel in the cell and are left out.
-    tail = np.ones(1)
-    ts = range(n, k, -1) if backward else range(k + 1, n + 1)
-    for t in ts:
-        if backward and t < n and row.target(t) == row.target(t + 1):
-            # v = 1/2 is the identity tilt, and the cell already equals the
-            # one achieved at t+1 (see row_objective), so skip the solve.
-            trace_step = TraceStep(t, 0.5, 0, steps[-1].achieved, 2.0)
+    for step in solved:
+        if _skips_solve(row, step.t, backward):
+            step = replace(step, achieved=steps[-1].achieved)
         else:
-            v_star, trace_step = solve_v(
-                mu, k, t, row.target(t), tol, max_iter, objective=partial(_flip_cell, tail)
-            )
-            probs, alpha = _reweight(mu, k, t, v_star)
+            probs, alpha = _reweight(mu, k, step.t, step.v_star)
             mu = FiniteMeasure(mu.space, probs)
-            trace_step = replace(trace_step, achieved=eta_bar(mu, k, t), alpha=alpha)
-            if backward and v_star != 0.5:
-                tail = np.kron([v_star, 1.0 - v_star], tail)
-        steps.append(trace_step)
+            step = replace(step, achieved=eta_bar(mu, k, step.t), alpha=alpha)
+        steps.append(step)
         iterates.append(mu)
     trace = ConstructionTrace(k, tuple(steps))
     if return_iterates:

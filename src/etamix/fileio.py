@@ -32,6 +32,15 @@ class FileFormatError(ValueError):
     """Input file is malformed or violates its schema."""
 
 
+def _strict_int(x, what: str) -> int:
+    """x as an int when it is an integral JSON number and not a bool."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FileFormatError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -89,9 +98,10 @@ def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
     if not isinstance(obj, dict):
         raise FileFormatError("measure object must be a JSON object")
     try:
-        q, n, probs = int(obj["q"]), int(obj["n"]), obj["probs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"measure object missing/invalid fields: {exc}") from exc
+        q, n, probs = obj["q"], obj["n"], obj["probs"]
+    except KeyError as exc:
+        raise FileFormatError(f"measure object missing field {exc}") from exc
+    q, n = _strict_int(q, "q"), _strict_int(n, "n")
     if not isinstance(probs, list) or not all(
         isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
     ):
@@ -147,9 +157,10 @@ def write_matrix(path: str, h: MixingMatrix) -> None:
 def read_matrix(path: str) -> MixingMatrix:
     obj = _load(path)
     try:
-        n, entries = int(obj["n"]), obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"matrix file missing/invalid fields: {exc}") from exc
+        n, entries = obj["n"], obj["entries"]
+    except KeyError as exc:
+        raise FileFormatError(f"matrix file missing field {exc}") from exc
+    n = _strict_int(n, "n")
     if (
         not isinstance(entries, list)
         or len(entries) != n
@@ -202,22 +213,13 @@ def _parse_product_obj(obj: dict, state_cap: int | None) -> ProductMeasure:
         raise
     except ValueError as exc:
         raise FileFormatError(f"inconsistent product components: {exc}") from exc
-    if "n" in obj and int(obj["n"]) != pm.n:
+    if "n" in obj and _strict_int(obj["n"], "n") != pm.n:
         raise FileFormatError(f"declared n={obj['n']} but components have n={pm.n}")
     return pm
 
 
 # --------------------------------------------------------------------------
 # process specs (input only)
-
-
-def _strict_int(x, what: str) -> int:
-    """x as an int when it is an integral JSON number and not a bool."""
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise FileFormatError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def read_process_spec(path: str):

@@ -9,10 +9,15 @@ smallest horizon n_k and a constant row value h_k with
     1 - eps_k  <=  h_k * (n_k - k) / r(n_k)  <=  1,
 
 and component k is the pure row-k measure on {0,1}^(n_k) with constant row
-h_k.  Components run in parallel and are padded beyond their natural length
-by independent fair bits, so prefix matrices stay exact without ever
-materializing the joint: row k holds h_k out to column n_k and nothing
-after, and horizons shorter than n_k fall back to the marginal measure.
+h_k.  find_nk always returns h_k = 1 (see its docstring), so component k is
+the copy X_{n_k} = X_k over iid fair bits: flip probability v_{n_k} = 1 and
+v_t = 1/2 for k < t < n_k.  Each component is kept in that flip-vector form
+(:class:`~etamix.construction.PureRow`), whose prefix matrices are closed
+form: cell (k, t) of the length-m prefix is TV(prod_{t<=s<=m} Bern(v_s), its
+bit-flip mirror), which is 1 for t <= m = n_k and 0 for m < n_k.  Components
+run in parallel and are padded beyond their natural length by independent
+fair bits, which contribute nothing to any cell, so Delta_n is the identity
+plus the components' closed-form blocks and no 2^(n_k) measure is built.
 """
 from __future__ import annotations
 
@@ -22,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import op_norm_inf
-from .construction import ValidRow, pure_row_measure
-from .measures import FiniteMeasure, marginal
-from .mixing import mixing_matrix
+from .construction import PureRow, ValidRow, solve_row
 
 
 class HorizonTooSmall(ValueError):
@@ -96,6 +99,11 @@ def find_nk(r: RateFunction, k: int, eps: float) -> tuple[int, float]:
     Scans n = k+1, k+2, ... for h = min(1, r(n) / (n - k)) whose ratio
     h * (n - k) / r(n) lands in [1 - eps, 1].  Any n >= k / eps works, so a
     failed scan reports that bound as the horizon fix.
+
+    The returned h is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the
+    first horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
+    nondecreasing, so r(n-1) = n-1-k: horizon n-1 has ratio exactly 1 and
+    the scan stops there first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -123,15 +131,13 @@ class TruncatedProcess:
     """Parallel family of pure-row components padded by independent fair bits.
 
     ``components[k-1]`` lives on {0,1}^(n_k) at its natural length; padding
-    beyond n_k is implicit.  ``component_matrices[k-1]`` caches its full
-    mixing matrix.
+    beyond n_k is implicit.
     """
 
     rate: RateFunction
     n_max: int
     checkpoints: tuple[Checkpoint, ...]
-    components: tuple[FiniteMeasure, ...]
-    component_matrices: tuple[np.ndarray, ...]
+    components: tuple[PureRow, ...]
 
     @property
     def k_max(self) -> int:
@@ -170,34 +176,25 @@ def build_process(
 
     checkpoints = []
     components = []
-    matrices = []
     sub = RateFunction(r.values[:n_max])
     for k in range(1, k_max + 1):
         n_k, h_k = find_nk(sub, k, eps[k - 1])
-        row = ValidRow(n_k, k, (h_k,) * (n_k - k))
-        comp, _ = pure_row_measure(n_k, row)
+        comp, _ = solve_row(ValidRow(n_k, k, (h_k,) * (n_k - k)))
         checkpoints.append(Checkpoint(k, eps[k - 1], n_k, h_k))
         components.append(comp)
-        matrices.append(mixing_matrix(comp).entries)
-    return TruncatedProcess(
-        r, n_max, tuple(checkpoints), tuple(components), tuple(matrices)
-    )
+    return TruncatedProcess(r, n_max, tuple(checkpoints), tuple(components))
 
 
 def _component_matrix(p: TruncatedProcess, k: int, n: int) -> np.ndarray:
     """Mixing matrix of component k's length-n prefix, as an n-by-n block.
 
     Beyond the natural length the fair-bit padding contributes nothing, so
-    the cached matrix embeds in the top-left corner; shorter horizons use
-    the marginal measure directly.
+    the component's own matrix embeds in the top-left corner.
     """
     comp = p.components[k - 1]
-    nat = comp.n
+    m = min(n, comp.n)
     out = np.zeros((n, n))
-    if n >= nat:
-        out[:nat, :nat] = p.component_matrices[k - 1]
-    elif n >= 2:
-        out[:, :] = mixing_matrix(marginal(comp, 1, n)).entries
+    out[:m, :m] = comp.matrix(m)
     return out
 
 

@@ -65,6 +65,20 @@ class TestMix:
         r = run_cli("mix", str(tmp_path / "nope.json"), "-o", str(tmp_path / "h.json"))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"q": 2, "n": True, "probs": [0.5, 0.5]}, {"q": 2, "n": 1.5, "probs": [0.5, 0.5]}],
+    )
+    def test_non_integer_n_exit_code(self, tmp_path, obj, capsys):
+        # int() used to read "n": true as n=1 and write its matrix
+        m = str(tmp_path / "m.json")
+        atomic_write(m, json.dumps(obj))
+        out = tmp_path / "h.json"
+        assert main(["mix", m, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be an integer" in err
+        assert not out.exists()
+
 
 class TestConstructRoundTrip:
     def test_target_realized_end_to_end(self, tmp_path, target_file):
@@ -157,6 +171,16 @@ class TestValidate:
         assert r.returncode == 4
         assert "lower-triangle" in r.stdout
 
+    @pytest.mark.parametrize("n", [3.9, True])
+    def test_non_integer_n_exit_code(self, tmp_path, n, capsys):
+        # int() used to truncate 3.9 to 3 and report "valid (n=3)"
+        bad = str(tmp_path / "bad.json")
+        atomic_write(bad, json.dumps({"n": n, "entries": [[0.0] * 3] * 3}))
+        assert main(["validate", bad]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.count("\n") == 1 and "must be an integer" in cap.err
+        assert "valid" not in cap.out
+
 
 class TestBounds:
     def test_report_written(self, tmp_path, target_file):
@@ -232,6 +256,30 @@ class TestRate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be an integer" in err
         assert not out.exists()
+
+    def test_linear_rate_beyond_the_dense_state_cap(self, tmp_path):
+        # n_7 = 56: the closed-form components never build a 2^56 measure,
+        # so `rate` cannot run into the state cap
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 7, "n_max": 64},
+        )
+        out = str(tmp_path / "cp.csv")
+        r = run_cli("rate", spec, "-o", out)
+        assert r.returncode == 0, r.stderr
+        assert "7/7 checkpoints pass" in r.stdout
+        last = open(out).read().splitlines()[-1].split(",")
+        assert (last[0], last[2], last[-1]) == ("7", "56", "true")
+
+    def test_linear_rate_horizon_fix_past_the_state_cap(self, tmp_path):
+        # checkpoint 8 needs (n - 8) / n >= 8/9, so n >= 72
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 10, "n_max": 64},
+        )
+        r = run_cli("rate", spec, "-o", str(tmp_path / "cp.csv"))
+        assert r.returncode == 5
+        assert "n_max >= 72 suffices" in r.stderr
 
     def test_integral_floats_accepted(self, tmp_path, capsys):
         spec = self._spec(

@@ -7,6 +7,7 @@ import etamix.construction as construction
 from etamix import (
     BracketError,
     MixingMatrix,
+    PureRow,
     SeqSpace,
     TargetInvalid,
     ValidRow,
@@ -21,6 +22,7 @@ from etamix import (
     pure_row_measure,
     reweight,
     row_objective,
+    solve_row,
     solve_v,
     uniform,
 )
@@ -309,6 +311,70 @@ class TestClosedFormCell:
                 assert step.alpha == alpha
             assert step.achieved == eta_bar(replay, k, t)
         assert np.array_equal(mu.probs, replay.probs)
+
+    @pytest.mark.parametrize(
+        "n,k,h",
+        [
+            (4, 1, (0.8, 0.5, 0.2)),
+            (4, 1, (0.5, 0.5, 0.2)),
+            (6, 2, (0.9, 0.6, 0.6, 0.1)),
+            (5, 1, (1.0, 0.7, 0.7, 0.0)),
+            (5, 3, (0.0, 0.0)),
+            (8, 1, (0.93, 0.81, 0.62, 0.62, 0.4, 0.17, 0.05)),
+        ],
+    )
+    def test_pure_row_dense_is_the_measure(self, n, k, h):
+        row = ValidRow(n, k, h)
+        mu, trace = pure_row_measure(n, row)
+        pr, steps = solve_row(row)
+        assert pr.dense().probs.tobytes() == mu.probs.tobytes()
+        assert [s.v_star for s in steps] == [s.v_star for s in trace.steps]
+        assert pr.v == tuple(s.v_star for s in reversed(trace.steps))
+
+
+@st.composite
+def _pure_rows(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.0, 1.0))
+    return PureRow(n, k, draw(st.lists(flip, min_size=n - k, max_size=n - k)))
+
+
+class TestPureRow:
+    @settings(max_examples=40, deadline=None)
+    @given(_pure_rows())
+    def test_prefix_matrices_match_oracle(self, pr):
+        mu = pr.dense()
+        for m in range(2, pr.n + 1):
+            want = np.array(mixing_matrix_slow(marginal(mu, 1, m)))
+            assert np.abs(pr.matrix(m) - want).max() <= 1e-12
+        assert pr.matrix().shape == (pr.n, pr.n)
+
+    def test_measure_read_interface(self):
+        pr = PureRow(3, 1, (0.5, 1.0))
+        assert (pr.q, pr.n, pr.space) == (2, 3, SeqSpace(2, 3))
+        assert pr.probs is pr.probs  # built once
+        assert np.array_equal(pr.probs, pr.dense().probs)
+        assert pr.tensor().shape == (2, 2, 2)
+        assert pr.tensor()[0, 1, 0] == pr.tensor()[1, 0, 1] == 0.25
+
+    def test_no_dense_measure_for_the_matrix(self):
+        pr = PureRow(60, 7, (0.5,) * 52 + (1.0,))
+        e = pr.matrix(60)
+        assert e[6, 7:].tolist() == [1.0] * 53 and e.sum() == 53.0
+        assert not pr.matrix(59).any()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            PureRow(3, 3, ())
+        with pytest.raises(ValueError):
+            PureRow(3, 1, (0.5,))
+        with pytest.raises(ValueError):
+            PureRow(3, 1, (0.5, 1.5))
+        with pytest.raises(ValueError):
+            PureRow(3, 1, (0.5, 0.5)).matrix(4)
+        with pytest.raises(ValueError):
+            solve_row(ValidRow(3, 1, (0.5, 0.2)), order="sideways")
 
 
 class TestRealizesRandomTargets:

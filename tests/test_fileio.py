@@ -130,6 +130,26 @@ class TestMeasureRoundTrip:
         with pytest.raises(StateCapExceeded):
             read_measure(p, state_cap=10)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"q": 2, "n": 1.5, "probs": [0.5, 0.5]},
+            {"q": 2, "n": True, "probs": [0.5, 0.5]},
+            {"q": 2.5, "n": 1, "probs": [0.5, 0.5]},
+            {"q": "2", "n": 1, "probs": [0.5, 0.5]},
+        ],
+    )
+    def test_non_integer_fields_rejected(self, tmp_path, obj):
+        p = str(tmp_path / "m.json")
+        atomic_write(p, json.dumps(obj))
+        with pytest.raises(FileFormatError, match="must be an integer"):
+            read_measure(p)
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        p = str(tmp_path / "m.json")
+        atomic_write(p, json.dumps({"q": 2.0, "n": 1.0, "probs": [0.5, 0.5]}))
+        assert (read_measure(p).q, read_measure(p).n) == (2, 1)
+
 
 class TestMatrixRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -148,6 +168,14 @@ class TestMatrixRoundTrip:
         p = str(tmp_path / "h.json")
         atomic_write(p, '{"n": 1, "entries": [[NaN]]}')
         with pytest.raises(FileFormatError):
+            read_matrix(p)
+
+    @pytest.mark.parametrize("n", [3.9, True, "3", None])
+    def test_non_integer_n_rejected(self, tmp_path, n):
+        # int() used to truncate 3.9 to 3 and read True as 1
+        p = str(tmp_path / "h.json")
+        atomic_write(p, json.dumps({"n": n, "entries": [[0.0] * 3] * 3}))
+        with pytest.raises(FileFormatError, match="must be an integer"):
             read_matrix(p)
 
     def test_version_tag_present(self):
@@ -178,6 +206,14 @@ class TestProductRoundTrip:
         }
         atomic_write(p, json.dumps(obj))
         with pytest.raises(FileFormatError):
+            read_product(p)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_declared_n_rejected(self, tmp_path, n):
+        p = str(tmp_path / "pm.json")
+        obj = {"n": n, "components": [{"q": 2, "n": 2, "probs": [0.25] * 4}]}
+        atomic_write(p, json.dumps(obj))
+        with pytest.raises(FileFormatError, match="must be an integer"):
             read_product(p)
 
 

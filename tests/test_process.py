@@ -2,9 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import etamix.measures as measures
 from etamix import (
     HorizonTooSmall,
+    PureRow,
     RateFunction,
     build_process,
     check_checkpoints,
@@ -72,6 +76,23 @@ class TestFindNk:
         n, h = find_nk(RateFunction.linear(8), 2, 0.25)
         assert (n, h) == (8, 1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepted_row_value_is_one(self, data):
+        # The closed-form components rely on this: a horizon with
+        # r(n) < n - k is always preceded by one with ratio exactly 1.
+        n_max = data.draw(st.integers(2, 40))
+        values = [1]
+        for n in range(2, n_max + 1):
+            values.append(data.draw(st.integers(values[-1], n)))
+        k = data.draw(st.integers(1, n_max - 1))
+        eps = data.draw(st.floats(1e-3, 0.999))
+        try:
+            _, h = find_nk(RateFunction(tuple(values)), k, eps)
+        except HorizonTooSmall:
+            assume(False)
+        assert h == 1.0
+
     def test_input_validation(self):
         r = RateFunction.sqrt(10)
         with pytest.raises(ValueError):
@@ -120,6 +141,18 @@ class TestBuildProcess:
             build_process(r, k_max=2, n_max=12, eps=(0.5, 0.5))
         with pytest.raises(ValueError):
             build_process(r, k_max=2, n_max=12, eps=(0.5, 1.5))
+
+    def test_builds_no_dense_measure(self, monkeypatch):
+        # the benchmark's linear spec: components at n_k = 2, 7, 12, 20
+        def refuse(self):
+            raise AssertionError(f"dense measure built on {self.space}")
+
+        monkeypatch.setattr(measures.FiniteMeasure, "__post_init__", refuse)
+        p = build_process(RateFunction.linear(64), k_max=4, n_max=64,
+                          eps=(0.51, 0.29, 0.252, 0.202))
+        reports = check_checkpoints(p)
+        assert [c.n for c in p.components] == [2, 7, 12, 20]
+        assert all(r.passed for r in reports)
 
     def test_horizon_error_propagates(self):
         with pytest.raises(HorizonTooSmall):
@@ -186,12 +219,9 @@ class TestCheckCheckpoints:
     def test_corrupted_component_is_caught(self):
         p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
         comps = list(p.components)
-        mats = list(p.component_matrices)
-        comps[1] = uniform(2, comps[1].n)
-        mats[1] = np.zeros_like(mats[1])
-        broken = dataclasses.replace(
-            p, components=tuple(comps), component_matrices=tuple(mats)
-        )
+        n, k = comps[1].n, comps[1].k
+        comps[1] = PureRow(n, k, (0.5,) * (n - k))  # the uniform measure
+        broken = dataclasses.replace(p, components=tuple(comps))
         reports = check_checkpoints(broken)
         assert not reports[1].passed
         assert reports[0].passed  # the untouched checkpoint still audits clean
