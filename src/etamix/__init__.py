@@ -2,7 +2,7 @@
 order from prescribed coefficients, mixing-rate processes, and the
 concentration bounds the coefficients feed."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .measures import (
     DEFAULT_STATE_CAP,

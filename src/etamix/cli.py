@@ -46,10 +46,7 @@ def _cmd_construct(args) -> int:
     fileio.write_product(args.output, pm)
     if args.trace:
         fileio.write_traces(args.trace, traces, args.tolerance)
-    if h.n > 1:
-        dev = float(np.max(np.abs(factored_mixing_matrix(pm).lower - h.entries)))
-    else:
-        dev = 0.0
+    dev = float(np.max(np.abs(factored_mixing_matrix(pm).lower - h.entries)))
     print(f"wrote {args.output}; max |achieved - target| = {dev:.3e}")
     return EXIT_OK
 

@@ -5,9 +5,9 @@ measure on {0,1}^n whose mixing matrix is exactly h on row k and zero
 elsewhere ("pure row k").  Starting from the uniform measure, positions are
 visited in descending order t = n, n-1, ..., k+1; each visit multiplies the
 current measure by a two-point weight on the agreement indicator of
-(x_k, x_t),
+(x_k, x_t), renormalized,
 
-    new(x) = alpha * (v * [x_k == x_t] + (1 - v) * [x_k != x_t]) * old(x),
+    new(x)  proportional to  (v * [x_k == x_t] + (1 - v) * [x_k != x_t]) * old(x),
 
 and v is chosen by bisection so that eta_bar(new, k, t) equals h_t.  The
 descending order matters: a visit at position t-1 leaves every conditional
@@ -19,13 +19,11 @@ X_t equals X_k with probability v_t, independently.  Cell (k, t) is then
 TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), and the bisection evaluates
 that closed form on the tail law of the visited positions after t, leaving
 out those with v_s = 1/2, which cancel.  One evaluation costs O(|T|) with
-|T| <= 2^(number of solved positions).  :func:`solve_row` runs the whole
-solve this way and returns the flip vector as a :class:`PureRow`, whose
-mixing matrix is closed-form too; no dense measure is built.
-:func:`pure_row_measure` then tilts the dense 2^n measure once per solved
-position, and eta_bar on it records the achieved value, so one dense row
-costs O(n 2^n) beyond the solves.  :func:`row_objective` is the dense oracle
-the closed form agrees with.
+|T| <= 2^(number of solved positions).  :func:`solve_row` returns the flip
+vector as a :class:`PureRow`, whose mixing matrix is closed-form too; its
+2^n atoms cost one dense tilt per v_t != 1/2 and are built only on read.
+:func:`pure_row_measure` (every solved position replayed as a dense tilt,
+eta_bar recorded on it) and :func:`row_objective` are the dense references.
 
 Visiting positions in ascending order (kept as order="forward" for
 demonstration) solves each cell as if the later positions were untouched, so
@@ -62,6 +60,19 @@ class BracketError(RuntimeError):
     """The bisection bracket [1/2, 1] does not contain the target value."""
 
 
+def _unit_values(n: int, k: int, xs, what: str) -> tuple[float, ...]:
+    """xs as floats in [0, 1], one for each position k+1..n of {0,1}^n."""
+    xs = tuple(float(x) for x in xs)
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k} n={n}")
+    if len(xs) != n - k:
+        raise ValueError(f"k={k}, n={n} needs {n - k} entries, got {len(xs)}")
+    for x in xs:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"{what} {x!r} outside [0, 1]")
+    return xs
+
+
 @dataclass(frozen=True)
 class ValidRow:
     """Target row for a pure row-k construction on {0,1}^n.
@@ -75,17 +86,7 @@ class ValidRow:
     h: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k} n={self.n}")
-        if len(self.h) != self.n - self.k:
-            raise ValueError(
-                f"row for k={self.k}, n={self.n} needs {self.n - self.k} entries, "
-                f"got {len(self.h)}"
-            )
-        for x in self.h:
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"row entry {x!r} outside [0, 1]")
+        object.__setattr__(self, "h", _unit_values(self.n, self.k, self.h, "row entry"))
         if any(b > a for a, b in zip(self.h, self.h[1:])):
             raise ValueError(f"row entries must be nonincreasing, got {self.h}")
 
@@ -113,17 +114,7 @@ class PureRow:
     v: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k} n={self.n}")
-        if len(self.v) != self.n - self.k:
-            raise ValueError(
-                f"flips for k={self.k}, n={self.n} need {self.n - self.k} entries, "
-                f"got {len(self.v)}"
-            )
-        for x in self.v:
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"flip probability {x!r} outside [0, 1]")
+        object.__setattr__(self, "v", _unit_values(self.n, self.k, self.v, "flip probability"))
 
     @property
     def q(self) -> int:
@@ -156,13 +147,9 @@ class PureRow:
         return out
 
     def dense(self) -> FiniteMeasure:
-        """The uniform measure tilted at each t with v_t != 1/2, from t = n down.
-
-        This is the measure :func:`pure_row_measure` returns in its default
-        order, bit for bit.  The one exception is a solve there that lands on
-        v_t = 1/2 after an earlier tilt: it replays that identity tilt, whose
-        renormalization can move the atoms by a rounding error.
-        """
+        """The uniform measure tilted at each t with v_t != 1/2, from t = n down:
+        :func:`pure_row_measure` in its default order, up to the rounding of
+        an identity tilt it replays where a solve lands on v_t = 1/2."""
         mu = uniform(SeqSpace(2, self.n))
         for t in range(self.n, self.k, -1):
             v = self.v[t - self.k - 1]
@@ -180,13 +167,14 @@ class PureRow:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """Record of one solved position: chosen v, effort, achieved value."""
+    """Record of one solved position: chosen v, bisection halvings, the cell
+    value v achieves, and its signed miss ``residual = achieved - target``."""
 
     t: int
     v_star: float
     iterations: int
     achieved: float
-    alpha: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -195,32 +183,21 @@ class ConstructionTrace:
     steps: tuple[TraceStep, ...]
 
 
-def _agreement_weights(n: int, k: int, t: int, v: float) -> np.ndarray:
-    idx = np.arange(1 << n)
-    bit_k = (idx >> (n - k)) & 1
-    bit_t = (idx >> (n - t)) & 1
-    return np.where(bit_k == bit_t, v, 1.0 - v)
-
-
-def _reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> tuple[np.ndarray, float]:
+def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
+    """Tilt mu by the two-point agreement weight on (x_k, x_t), renormalized."""
     if mu.q != 2:
         raise ValueError("reweighting is defined for binary alphabets only")
     if not 1 <= k < t <= mu.n:
         raise ValueError(f"need 1 <= k < t <= n, got k={k} t={t} n={mu.n}")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v!r} outside [0, 1]")
-    w = _agreement_weights(mu.n, k, t, v) * mu.probs
+    idx = np.arange(1 << mu.n)
+    agree = ((idx >> (mu.n - k)) & 1) == ((idx >> (mu.n - t)) & 1)
+    w = np.where(agree, v, 1.0 - v) * mu.probs
     total = float(w.sum())
     if total <= 0.0:
         raise ValueError(f"reweighting with v={v!r} leaves no mass")
-    # alpha is the normalization 1 / (v * P[x_k == x_t] + (1-v) * P[x_k != x_t])
-    return w / total, 1.0 / total
-
-
-def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
-    """Tilt mu by the two-point agreement weight on (x_k, x_t), renormalized."""
-    probs, _ = _reweight(mu, k, t, v)
-    return FiniteMeasure(mu.space, probs)
+    return FiniteMeasure(mu.space, w / total)
 
 
 def row_objective(mu: FiniteMeasure, k: int, t: int, v: float) -> float:
@@ -256,10 +233,8 @@ def solve_v(
 ) -> tuple[float, TraceStep]:
     """Find v in [1/2, 1] with objective(v) = target.
 
-    ``objective`` defaults to row_objective(mu, k, t, v), and the trace's
-    alpha is then that of reweighting mu at the returned v.  A caller that
-    passes its own objective does the reweighting itself, so mu is not read
-    (it may be None) and alpha is NaN for the caller to fill in.  Endpoints
+    ``objective`` defaults to row_objective(mu, k, t, v); a caller that
+    passes its own does not need mu (it may be None).  Endpoints
     are returned without bisection when they already meet the tolerance.
     Otherwise a sign bracket of f(v) - target is maintained; the last
     midpoint is returned after ``max_iter`` halvings even if the tolerance
@@ -270,8 +245,7 @@ def solve_v(
     f = partial(row_objective, mu, k, t) if objective is None else objective
 
     def step(v: float, iters: int, achieved: float) -> tuple[float, TraceStep]:
-        alpha = _reweight(mu, k, t, v)[1] if objective is None else float("nan")
-        return v, TraceStep(t, v, iters, achieved, alpha)
+        return v, TraceStep(t, v, iters, achieved, achieved - target)
 
     f_lo = f(0.5)
     if abs(f_lo - target) <= tol:
@@ -306,17 +280,13 @@ def _skips_solve(row: ValidRow, t: int, backward: bool) -> bool:
 
 
 def solve_row(
-    row: ValidRow,
-    tol: float = SOLVE_TOL,
-    max_iter: int = SOLVE_MAX_ITER,
-    order: str = "backward",
+    row: ValidRow, tol: float = SOLVE_TOL, order: str = "backward"
 ) -> tuple[PureRow, tuple[TraceStep, ...]]:
     """Flip vector for ``row``, solved on the closed-form cell alone.
 
-    Returns the :class:`PureRow` and one step per position in visit order.
-    A step's ``achieved`` is the closed-form cell and its ``alpha`` is 2,
-    the normalization of a tilt on a still-fair X_t.  Builds no dense
-    measure.  ``order`` is as in :func:`pure_row_measure`.
+    Returns the :class:`PureRow` and one step per position in visit order,
+    whose ``achieved`` is the closed-form cell.  Builds no dense measure.
+    ``order`` is as in :func:`pure_row_measure`.
     """
     if order not in ("backward", "forward"):
         raise ValueError(f"unknown order {order!r}")
@@ -329,24 +299,20 @@ def solve_row(
     ts = range(n, k, -1) if backward else range(k + 1, n + 1)
     for t in ts:
         if _skips_solve(row, t, backward):
-            step = TraceStep(t, 0.5, 0, steps[-1].achieved, 2.0)
+            # the target equals the one at t+1, so the residual carries over
+            step = replace(steps[-1], t=t, v_star=0.5, iterations=0)
         else:
-            _, step = solve_v(
-                None, k, t, row.target(t), tol, max_iter, objective=partial(_flip_cell, tail)
-            )
-            step = replace(step, alpha=2.0)
+            _, step = solve_v(None, k, t, row.target(t), tol, objective=partial(_flip_cell, tail))
             if backward and step.v_star != 0.5:
                 tail = np.kron([step.v_star, 1.0 - step.v_star], tail)
         steps.append(step)
-    v = sorted((s.t, s.v_star) for s in steps)
-    return PureRow(n, k, tuple(x for _, x in v)), tuple(steps)
+    return PureRow(n, k, tuple(s.v_star for s in sorted(steps, key=lambda s: s.t))), tuple(steps)
 
 
 def pure_row_measure(
     n: int,
     row: ValidRow,
     tol: float = SOLVE_TOL,
-    max_iter: int = SOLVE_MAX_ITER,
     order: str = "backward",
     return_iterates: bool = False,
 ):
@@ -358,7 +324,8 @@ def pure_row_measure(
     iterates let callers verify that each step preserved the conditional
     laws of the not-yet-visited future blocks.  The v's come from
     :func:`solve_row`; each solved position is then replayed as one dense
-    tilt, and the trace records the dense alpha and eta_bar.
+    tilt, and the trace records eta_bar on the tilted measure.  This is the
+    dense sequential reference for :class:`PureRow`, not an engine path.
 
     ``order="forward"`` visits positions in ascending order instead.  That
     variant has no preservation guarantee and exists to demonstrate that the
@@ -369,19 +336,16 @@ def pure_row_measure(
     """
     if row.n != n:
         raise ValueError(f"row was built for n={row.n}, not n={n}")
-    _, solved = solve_row(row, tol, max_iter, order)
+    _, solved = solve_row(row, tol, order)
     k = row.k
-    backward = order == "backward"
     mu = uniform(SeqSpace(2, n))
     iterates = [mu]
     steps = []
     for step in solved:
-        if _skips_solve(row, step.t, backward):
-            step = replace(step, achieved=steps[-1].achieved)
-        else:
-            probs, alpha = _reweight(mu, k, step.t, step.v_star)
-            mu = FiniteMeasure(mu.space, probs)
-            step = replace(step, achieved=eta_bar(mu, k, step.t), alpha=alpha)
+        if not _skips_solve(row, step.t, order == "backward"):
+            mu = reweight(mu, k, step.t, step.v_star)
+        achieved = eta_bar(mu, k, step.t)
+        step = replace(step, achieved=achieved, residual=achieved - row.target(step.t))
         steps.append(step)
         iterates.append(mu)
     trace = ConstructionTrace(k, tuple(steps))
@@ -418,16 +382,16 @@ def check_conditional_preservation(
 
 
 def construct_from_target(
-    h: MixingMatrix,
-    tol: float = SOLVE_TOL,
-    max_iter: int = SOLVE_MAX_ITER,
+    h: MixingMatrix, tol: float = SOLVE_TOL
 ) -> tuple[ProductMeasure, list[ConstructionTrace]]:
     """Measure over the packed alphabet {0,1}^(n-1) realizing a valid target.
 
     Row k of the target is delegated to an independent pure row-k component
-    on {0,1}^n; the parallel product of the components then reproduces the
-    whole matrix because each cell is nonzero in at most one component.
-    Raises :class:`TargetInvalid` when the target fails validation.
+    on {0,1}^n, kept as its :class:`PureRow` flip vector; the parallel
+    product of the components then reproduces the whole matrix because each
+    cell is nonzero in at most one component.  No dense measure is built
+    for n >= 2.  Raises :class:`TargetInvalid` when the target fails
+    validation.
     """
     violations = validate_target(h)
     if violations:
@@ -438,8 +402,7 @@ def construct_from_target(
     components = []
     traces = []
     for k in range(1, n):
-        row = ValidRow(n, k, tuple(h.entries[k - 1, k:n]))
-        mu, trace = pure_row_measure(n, row, tol, max_iter)
-        components.append(mu)
-        traces.append(trace)
+        pr, steps = solve_row(ValidRow(n, k, tuple(h.entries[k - 1, k:n])), tol)
+        components.append(pr)
+        traces.append(ConstructionTrace(k, steps))
     return ProductMeasure(tuple(components)), traces

@@ -41,6 +41,18 @@ def _strict_int(x, what: str) -> int:
     return x
 
 
+def _numbers(xs, what: str) -> np.ndarray:
+    """xs as float64 when it is a JSON list of numbers, bools excluded."""
+    if not isinstance(xs, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs
+    ):
+        raise FileFormatError(f"{what} must be a list of numbers")
+    try:
+        return np.asarray(xs, dtype=np.float64)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise FileFormatError(f"{what}: {exc}") from exc
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -102,13 +114,9 @@ def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
     except KeyError as exc:
         raise FileFormatError(f"measure object missing field {exc}") from exc
     q, n = _strict_int(q, "q"), _strict_int(n, "n")
-    if not isinstance(probs, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
-    ):
-        raise FileFormatError("probs must be a list of numbers")
+    v = _numbers(probs, "probs")
     kwargs = {} if state_cap is None else {"state_cap": int(state_cap)}
     space = SeqSpace(q, n, **kwargs)  # StateCapExceeded may propagate
-    v = np.asarray(probs, dtype=np.float64)
     if v.shape != (space.size,):
         raise FileFormatError(f"probs has {v.size} entries, expected {space.size}")
     if np.any(v < 0.0):
@@ -167,7 +175,7 @@ def read_matrix(path: str) -> MixingMatrix:
         or any(not isinstance(r, list) or len(r) != n for r in entries)
     ):
         raise FileFormatError(f"entries must be an {n}-by-{n} array")
-    v = np.asarray(entries, dtype=np.float64)
+    v = np.array([_numbers(r, "each matrix row") for r in entries])
     if not np.all(np.isfinite(v)):
         raise FileFormatError("matrix entries must be finite numbers")
     return MixingMatrix(v)
@@ -261,9 +269,9 @@ def read_process_spec(path: str):
         raise FileFormatError(f"rate kind must be 'table' or 'builtin', got {kind!r}")
     eps = obj.get("eps")
     if eps is not None:
-        if not isinstance(eps, list) or len(eps) != k_max:
+        eps = tuple(_numbers(eps, "eps").tolist())
+        if len(eps) != k_max:
             raise FileFormatError(f"eps must be a list of {k_max} numbers")
-        eps = tuple(float(e) for e in eps)
     return r, k_max, n_max, eps
 
 
@@ -276,8 +284,8 @@ def traces_to_json(traces: list[ConstructionTrace], tolerance: float) -> str:
     for tr in traces:
         steps = ",\n".join(
             '        {"t": %d, "v_star": %s, "iterations": %d, '
-            '"achieved": %s, "alpha": %s}'
-            % (s.t, _fmt(s.v_star), s.iterations, _fmt(s.achieved), _fmt(s.alpha))
+            '"achieved": %s, "residual": %s}'
+            % (s.t, _fmt(s.v_star), s.iterations, _fmt(s.achieved), _fmt(s.residual))
             for s in tr.steps
         )
         comps.append(

@@ -9,9 +9,11 @@ smallest horizon n_k and a constant row value h_k with
     1 - eps_k  <=  h_k * (n_k - k) / r(n_k)  <=  1,
 
 and component k is the pure row-k measure on {0,1}^(n_k) with constant row
-h_k.  find_nk always returns h_k = 1 (see its docstring), so component k is
-the copy X_{n_k} = X_k over iid fair bits: flip probability v_{n_k} = 1 and
-v_t = 1/2 for k < t < n_k.  Each component is kept in that flip-vector form
+h_k.  One flip realizes a constant row: with v_{n_k} = (1 + h_k) / 2 and
+v_t = 1/2 for k < t < n_k, every cell (k, t) is |2 v_{n_k} - 1| = h_k, which
+is what the row solve finds.  find_nk always returns h_k = 1 (see its
+docstring), so component k is the copy X_{n_k} = X_k over iid fair bits.
+Each component is kept in that flip-vector form
 (:class:`~etamix.construction.PureRow`), whose prefix matrices are closed
 form: cell (k, t) of the length-m prefix is TV(prod_{t<=s<=m} Bern(v_s), its
 bit-flip mirror), which is 1 for t <= m = n_k and 0 for m < n_k.  Components
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import op_norm_inf
-from .construction import PureRow, ValidRow, solve_row
+from .construction import PureRow
+from .measures import DEFAULT_STATE_CAP, StateCapExceeded
 
 
 class HorizonTooSmall(ValueError):
@@ -66,6 +69,10 @@ class RateFunction:
 
     @classmethod
     def from_callable(cls, fn, n_max: int) -> "RateFunction":
+        if n_max > DEFAULT_STATE_CAP:
+            raise StateCapExceeded(
+                f"a rate table of {n_max} entries exceeds the state cap {DEFAULT_STATE_CAP}"
+            )
         return cls(tuple(int(fn(n)) for n in range(1, n_max + 1)))
 
     @classmethod
@@ -144,6 +151,11 @@ class TruncatedProcess:
         return len(self.components)
 
 
+def _constant_row(n: int, k: int, h: float) -> PureRow:
+    """Pure row k on {0,1}^n with every cell |2 v_n - 1| = h: one flip, at n."""
+    return PureRow(n, k, (0.5,) * (n - k - 1) + ((1.0 + h) / 2.0,))
+
+
 def build_process(
     r: RateFunction,
     k_max: int,
@@ -165,10 +177,12 @@ def build_process(
     if bad:
         raise ValueError("invalid rate: " + "; ".join(bad))
     if eps is None:
-        eps = tuple(1.0 / (k + 1) for k in range(1, k_max + 1))
-    eps = tuple(float(e) for e in eps)
-    if len(eps) != k_max:
+        # checkpoint k needs a horizon n_k > k, so the loop below stops by
+        # k = n_max at the latest
+        eps = tuple(1.0 / (k + 1) for k in range(1, min(k_max, n_max) + 1))
+    elif len(eps) != k_max:
         raise ValueError(f"need {k_max} eps values, got {len(eps)}")
+    eps = tuple(float(e) for e in eps)
     if any(not 0.0 < e < 1.0 for e in eps):
         raise ValueError(f"eps values must lie in (0, 1), got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -177,11 +191,10 @@ def build_process(
     checkpoints = []
     components = []
     sub = RateFunction(r.values[:n_max])
-    for k in range(1, k_max + 1):
-        n_k, h_k = find_nk(sub, k, eps[k - 1])
-        comp, _ = solve_row(ValidRow(n_k, k, (h_k,) * (n_k - k)))
-        checkpoints.append(Checkpoint(k, eps[k - 1], n_k, h_k))
-        components.append(comp)
+    for k, e in enumerate(eps, start=1):
+        n_k, h_k = find_nk(sub, k, e)
+        checkpoints.append(Checkpoint(k, e, n_k, h_k))
+        components.append(_constant_row(n_k, k, h_k))
     return TruncatedProcess(r, n_max, tuple(checkpoints), tuple(components))
 
 

@@ -13,6 +13,10 @@ For a parallel product the mixing matrix obeys the sandwich
 per cell.  When at most one component is nonzero at each cell ("disjoint
 rows", as with pure-row components) the two sides collapse and the factored
 matrix is exact without materializing the joint.
+
+Components are FiniteMeasures or share their read interface; one with a
+``matrix()`` method (a :class:`~etamix.construction.PureRow`) supplies its
+own mixing matrix, so the factored matrix sweeps no dense measure for it.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .measures import DEFAULT_STATE_CAP, FiniteMeasure, SeqSpace
+from .measures import FiniteMeasure, SeqSpace
 from .mixing import MixingMatrix, mixing_matrix
 
 
@@ -29,7 +33,7 @@ from .mixing import MixingMatrix, mixing_matrix
 class ProductMeasure:
     """Parallel product of equal-length component measures, kept factored."""
 
-    components: tuple[FiniteMeasure, ...]
+    components: tuple  # FiniteMeasure or PureRow, see the module docstring
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -128,7 +132,10 @@ class FactoredMixing:
 
 def factored_mixing_matrix(pm: ProductMeasure) -> FactoredMixing:
     """Mixing-matrix bounds of a parallel product from its components alone."""
-    cells = np.stack([mixing_matrix(c).entries for c in pm.components])
+    cells = np.stack([
+        c.matrix() if hasattr(c, "matrix") else mixing_matrix(c).entries
+        for c in pm.components
+    ])
     lower = cells.max(axis=0)
     upper = np.minimum(1.0, cells.sum(axis=0))
     return FactoredMixing(lower, upper)

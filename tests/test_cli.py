@@ -181,6 +181,16 @@ class TestValidate:
         assert cap.err.count("\n") == 1 and "must be an integer" in cap.err
         assert "valid" not in cap.out
 
+    @pytest.mark.parametrize("entry", ["0.5", True, None, [0.5]])
+    def test_non_number_entry_exit_code(self, tmp_path, entry, capsys):
+        # np.asarray used to read "0.5" and true as numbers and exit 0
+        bad = str(tmp_path / "bad.json")
+        atomic_write(bad, json.dumps({"n": 2, "entries": [[0.0, entry], [0.0, 0.0]]}))
+        assert main(["validate", bad]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.count("\n") == 1 and "must be a list of numbers" in cap.err
+        assert "valid" not in cap.out
+
 
 class TestBounds:
     def test_report_written(self, tmp_path, target_file):
@@ -280,6 +290,19 @@ class TestRate:
         r = run_cli("rate", spec, "-o", str(tmp_path / "cp.csv"))
         assert r.returncode == 5
         assert "n_max >= 72 suffices" in r.stderr
+
+    @pytest.mark.parametrize("eps", [[None], [0.5, [0.3]], ["0.5"], [True], [10**400]])
+    def test_non_number_eps_exit_code(self, tmp_path, eps, capsys):
+        # float() used to raise TypeError (a traceback and exit 1) or read "0.5"
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "sqrt"}, "k_max": len(eps),
+             "n_max": 12, "eps": eps},
+        )
+        out = tmp_path / "cp.csv"
+        assert main(["rate", spec, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
     def test_integral_floats_accepted(self, tmp_path, capsys):
         spec = self._spec(

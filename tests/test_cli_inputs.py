@@ -1,0 +1,96 @@
+"""Every reading subcommand answers a mutated input file with a documented exit
+code and at most one error line, never a traceback.
+
+Each example takes a valid process spec, matrix file or measure file,
+replaces one field (any key or list element, at any depth) with null, a
+string, a bool, a nested list, a negative number or a huge number, and runs
+``etamix.cli.main`` in-process on it.
+"""
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etamix.cli import main
+
+MUTATIONS = (None, "0.5", True, False, [[0.5]], -1, -0.5, 1e300, 10**400)
+
+SPECS = (
+    {"version": "etamix-0.2.0", "rate": {"kind": "builtin", "name": "sqrt"},
+     "k_max": 3, "n_max": 12, "eps": [0.5, 0.3, 0.2]},
+    {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 2, "n_max": 16},
+    {"rate": {"kind": "builtin", "name": "const", "value": 2}, "k_max": 2, "n_max": 8},
+    {"rate": {"kind": "table", "values": [1, 2, 2, 3, 3, 3, 4, 4]}, "k_max": 2, "n_max": 8},
+)
+MATRIX = {"version": "etamix-0.2.0", "n": 3,
+          "entries": [[0.0, 0.6, 0.4], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]]}
+MEASURE = {"version": "etamix-0.2.0", "q": 2, "n": 2, "probs": [0.25, 0.25, 0.125, 0.375]}
+
+
+def _paths(obj, path=()):
+    """Path (a tuple of keys and indices) of every value below the root."""
+    if path:
+        yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(docs):
+    cases = [(doc, path) for doc in docs for path in _paths(doc)]
+
+    @st.composite
+    def draw(draw_):
+        doc, path = draw_(st.sampled_from(cases))
+        out = copy.deepcopy(doc)
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw_(st.sampled_from(MUTATIONS))
+        return out
+
+    return draw()
+
+
+def _run(command: str, doc: dict) -> None:
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "input.json")
+        with open(src, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, src] + ([] if command == "validate" else ["-o", os.path.join(d, "out")])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(7), (code, doc)
+    if code in (2, 3, 5, 6):
+        assert err.getvalue().count("\n") == 1, (code, doc, err.getvalue())
+
+
+class TestMutatedInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated(SPECS))
+    def test_rate(self, doc):
+        _run("rate", doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mutated([MATRIX]))
+    def test_validate(self, doc):
+        _run("validate", doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mutated([MATRIX]))
+    def test_construct(self, doc):
+        _run("construct", doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mutated([MEASURE]))
+    def test_mix(self, doc):
+        _run("mix", doc)

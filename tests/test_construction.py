@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etamix.construction as construction
+import etamix.measures as measures
 from etamix import (
     BracketError,
     MixingMatrix,
@@ -125,7 +126,8 @@ class TestSolveV:
         v, step = solve_v(uniform(2, 2), 1, 2, 0.5)
         assert v == 0.75
         assert step.achieved == pytest.approx(0.5, abs=1e-12)
-        assert step.alpha == 2.0
+        assert step.residual == step.achieved - 0.5
+        assert abs(step.residual) <= construction.SOLVE_TOL
         assert step.iterations >= 1
 
     def test_endpoint_targets_skip_bisection(self):
@@ -300,16 +302,21 @@ class TestClosedFormCell:
     def test_measure_is_the_replayed_reweight_chain(self, order, n, k, h):
         row = ValidRow(n, k, h)
         mu, trace = pure_row_measure(n, row, order=order)
+        _, closed = solve_row(row, order=order)
         replay = uniform(2, n)
-        for step in trace.steps:
+        for step, solved in zip(trace.steps, closed):
             t = step.t
             if order == "backward" and t < n and row.target(t) == row.target(t + 1):
-                assert (step.v_star, step.iterations, step.alpha) == (0.5, 0, 2.0)
+                assert (step.v_star, step.iterations) == (0.5, 0)
             else:
-                _, alpha = construction._reweight(replay, k, t, step.v_star)
                 replay = reweight(replay, k, t, step.v_star)
-                assert step.alpha == alpha
             assert step.achieved == eta_bar(replay, k, t)
+            assert step.residual == step.achieved - row.target(t)
+            # the closed-form cell the solve recorded is the dense eta_bar
+            assert abs(solved.achieved - step.achieved) <= 1e-12
+            assert solved.residual == solved.achieved - row.target(t)
+            if order == "backward":
+                assert abs(solved.residual) <= construction.SOLVE_TOL
         assert np.array_equal(mu.probs, replay.probs)
 
     @pytest.mark.parametrize(
@@ -388,8 +395,10 @@ class TestRealizesRandomTargets:
             row = data.draw(st.lists(level, min_size=n - 1 - i, max_size=n - 1 - i))
             entries[i, i + 1 :] = sorted(row, reverse=True)
         pm, _ = construct_from_target(MixingMatrix(entries))
-        # each cell is nonzero in one component only, so the components sum
-        achieved = sum(np.array(mixing_matrix_slow(c)) for c in pm.components)
+        # the oracle reads the atoms the components stand for; each cell is
+        # nonzero in one component only, so the components sum
+        dense = [c.dense() if isinstance(c, PureRow) else c for c in pm.components]
+        achieved = sum(np.array(mixing_matrix_slow(c)) for c in dense)
         assert np.abs(achieved - entries).max() <= 1e-9
 
 
@@ -421,6 +430,24 @@ class TestConstructFromTarget:
         assert traces == []
         joint = materialize(pm)
         assert joint.n == 1 and joint.q == 2
+
+    def test_builds_no_dense_measure(self, monkeypatch):
+        # the benchmark's size: 13 rows of a random n=14 target
+        n = 14
+        rng = np.random.default_rng(0)
+        entries = np.zeros((n, n))
+        for i in range(n - 1):
+            entries[i, i + 1 :] = np.sort(rng.uniform(size=n - 1 - i))[::-1]
+
+        def refuse(self):
+            raise AssertionError(f"dense measure built on {self.space}")
+
+        monkeypatch.setattr(measures.FiniteMeasure, "__post_init__", refuse)
+        pm, traces = construct_from_target(MixingMatrix(entries))
+        achieved = factored_mixing_matrix(pm).exact().entries
+        assert all(isinstance(c, PureRow) for c in pm.components)
+        assert np.abs(achieved - entries).max() <= 1e-12
+        assert max(abs(s.residual) for tr in traces for s in tr.steps) <= 1e-12
 
     def test_one_component_per_row(self):
         h = MixingMatrix([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])

@@ -295,8 +295,10 @@ class TestReports:
         (comp,) = obj["components"]
         assert comp["k"] == 1
         (step,) = comp["steps"]
-        assert set(step) == {"t", "v_star", "iterations", "achieved", "alpha"}
+        assert set(step) == {"t", "v_star", "iterations", "achieved", "residual"}
         assert step["v_star"] == 0.75
+        assert step["residual"] == step["achieved"] - 0.5
+        assert abs(step["residual"]) <= obj["tolerance"]
 
     def test_bounds_json_key_order(self):
         rep = bounds_report(MixingMatrix.zeros(2), 1.0)

@@ -53,6 +53,14 @@ class TestSeqSpace:
         with pytest.raises(StateCapExceeded):
             SeqSpace(4, 3, state_cap=10)
 
+    def test_huge_length_refused_without_the_power(self):
+        # q**n with n = 10**18 would never finish; the cap check runs first
+        with pytest.raises(StateCapExceeded):
+            SeqSpace(2, 10**18)
+        with pytest.raises(StateCapExceeded):
+            SeqSpace(3, 16, state_cap=1 << 25)
+        SeqSpace(3, 15, state_cap=1 << 25)
+
     def test_cap_does_not_affect_equality(self):
         assert SeqSpace(2, 3) == SeqSpace(2, 3, state_cap=1 << 30)
 

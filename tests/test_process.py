@@ -10,6 +10,7 @@ from etamix import (
     HorizonTooSmall,
     PureRow,
     RateFunction,
+    ValidRow,
     build_process,
     check_checkpoints,
     delta_matrix,
@@ -17,9 +18,11 @@ from etamix import (
     mixing_matrix,
     rate_R,
     series_product,
+    solve_row,
     uniform,
     validate_rate,
 )
+from etamix.process import _constant_row
 
 
 class TestRateFunction:
@@ -114,6 +117,25 @@ class TestBuildProcess:
         p = build_process(RateFunction.sqrt(12), k_max=3, n_max=12)
         assert tuple(c.n for c in p.components) == (2, 4, 6)
 
+    def test_copy_components_are_the_row_solve(self):
+        # h_k = 1: the direct flip vector is the solve's output bit for bit
+        p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
+        for cp, comp in zip(p.checkpoints, p.components):
+            solved, _ = solve_row(ValidRow(cp.n, cp.k, (cp.h,) * (cp.n - cp.k)))
+            assert comp == solved
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1), st.floats(0.0, 1.0))))
+    def test_constant_row_matches_the_row_solve(self, case):
+        n, k, h = case
+        direct = _constant_row(n, k, h)
+        solved, _ = solve_row(ValidRow(n, k, (h,) * (n - k)))
+        # the solve stops within its 1e-12 tolerance on |2v - 1| = h
+        assert np.abs(np.subtract(direct.v, solved.v)).max() <= 1e-12
+        assert np.abs(direct.matrix() - solved.matrix()).max() <= 1e-12
+        assert np.abs(direct.matrix()[k - 1, k:] - h).max() <= 1e-15
+
     def test_default_eps_sequence(self):
         p = build_process(RateFunction.sqrt(12), k_max=3, n_max=12)
         assert tuple(cp.eps for cp in p.checkpoints) == (1 / 2, 1 / 3, 1 / 4)
@@ -153,6 +175,14 @@ class TestBuildProcess:
         reports = check_checkpoints(p)
         assert [c.n for c in p.components] == [2, 7, 12, 20]
         assert all(r.passed for r in reports)
+
+    def test_huge_sizes_fail_fast(self):
+        with pytest.raises(measures.StateCapExceeded):
+            RateFunction.linear(10**300)
+        # with default eps the first checkpoint past n_max - 1 stops the build
+        with pytest.raises(HorizonTooSmall) as exc:
+            build_process(RateFunction.linear(6), k_max=10**300, n_max=6)
+        assert exc.value.k <= 6
 
     def test_horizon_error_propagates(self):
         with pytest.raises(HorizonTooSmall):
