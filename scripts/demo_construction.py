@@ -48,7 +48,7 @@ def main() -> None:
     print(fmt(target.entries))
 
     pm, traces = construct_from_target(target)
-    print(f"\nbuilt {len(pm.components)} pure-row components; bisection steps:")
+    print(f"\nbuilt {len(pm.components)} pure-row components; solved flip probabilities:")
     for tr in traces:
         parts = ", ".join(f"t={s.t}: v*={s.v_star:.6f}" for s in tr.steps)
         print(f"  row {tr.k}: {parts}")

@@ -2,7 +2,7 @@
 order from prescribed coefficients, mixing-rate processes, and the
 concentration bounds the coefficients feed."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .measures import (
     DEFAULT_STATE_CAP,
@@ -44,9 +44,9 @@ from .products import (
     series_product,
 )
 from .construction import (
-    BracketError,
     ConstructionTrace,
     PureRow,
+    SolveError,
     TraceStep,
     ValidRow,
     check_conditional_preservation,
@@ -55,7 +55,6 @@ from .construction import (
     reweight,
     row_objective,
     solve_row,
-    solve_v,
 )
 from .process import (
     Checkpoint,

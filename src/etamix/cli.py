@@ -3,9 +3,11 @@
 Subcommands: mix, construct, rate, bounds, validate, product, scan.  Exit
 codes: 0 success, 1 failed checkpoint audit, 2 unreadable or malformed
 input, 3 state cap exceeded, 4 invalid mixing target, 5 rate horizon too
-small, 6 internal error (a solver failure such as a bisection bracket that
-misses its target).  Output files are written atomically and depend only on
-the inputs and the seed, so reruns are byte-identical.
+small, 6 a solved cell missed its target by more than SOLVE_TOL (1e-12):
+``construct`` solves each flip probability exactly from the cell's
+piecewise-linear closed form, in O(|T| log |T|) per position for a tail law
+of |T| atoms, and audits every cell.  Output files are written atomically
+and depend only on the inputs and the seed, so reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .concentration import bounds_report
-from .construction import SOLVE_TOL, construct_from_target
+from .construction import construct_from_target
 from .measures import DEFAULT_STATE_CAP, SeqSpace, StateCapExceeded, random_measure
 from .mixing import TargetInvalid, conjecture_scan, mixing_matrix, validate_target
 from .process import HorizonTooSmall, build_process, check_checkpoints
@@ -39,13 +41,11 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if not args.tolerance > 0.0:
-        raise fileio.FileFormatError(f"--tolerance must be > 0, got {args.tolerance}")
     h = fileio.read_matrix(args.matrix)
-    pm, traces = construct_from_target(h, tol=args.tolerance)
+    pm, traces = construct_from_target(h)
     fileio.write_product(args.output, pm)
     if args.trace:
-        fileio.write_traces(args.trace, traces, args.tolerance)
+        fileio.write_traces(args.trace, traces)
     dev = float(np.max(np.abs(factored_mixing_matrix(pm).lower - h.entries)))
     print(f"wrote {args.output}; max |achieved - target| = {dev:.3e}")
     return EXIT_OK
@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--trace", help="also write the per-step solver trace")
-    p.add_argument("--tolerance", type=float, default=SOLVE_TOL,
-                   help="bisection tolerance on each row coefficient")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("rate", help="build a rate-tracking process and audit its checkpoints")

@@ -9,19 +9,21 @@ current measure by a two-point weight on the agreement indicator of
 
     new(x)  proportional to  (v * [x_k == x_t] + (1 - v) * [x_k != x_t]) * old(x),
 
-and v is chosen by bisection so that eta_bar(new, k, t) equals h_t.  The
-descending order matters: a visit at position t-1 leaves every conditional
-law of (X_t, ..., X_n) given the first k symbols untouched, so the cells
-already matched at t, t+1, ..., n stay matched.
+and v is chosen so that eta_bar(new, k, t) equals h_t.  The descending order
+matters: a visit at position t-1 leaves every conditional law of
+(X_t, ..., X_n) given the first k symbols untouched, so the cells already
+matched at t, t+1, ..., n stay matched.
 
 The result is a flip vector: X_1, ..., X_k are iid fair bits and each later
 X_t equals X_k with probability v_t, independently.  Cell (k, t) is then
-TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), and the bisection evaluates
-that closed form on the tail law of the visited positions after t, leaving
-out those with v_s = 1/2, which cancel.  One evaluation costs O(|T|) with
-|T| <= 2^(number of solved positions).  :func:`solve_row` returns the flip
-vector as a :class:`PureRow`, whose mixing matrix is closed-form too; its
-2^n atoms cost one dense tilt per v_t != 1/2 and are built only on read.
+TV(prod_{s>=t} Bern(v_s), its bit-flip mirror): on the tail law T of the
+visited positions after t (v_s = 1/2 cancels), f(v) = sum_b |v s_b - r_b|
+for r = T reversed and s = T + r, convex and linear between breakpoints
+r_b / s_b.  So v_t solves one linear equation, on the piece found by sorting
+the breakpoints, at O(|T| log |T|) with |T| <= 2^(solved positions).
+:func:`solve_row` returns the flip vector as a :class:`PureRow`, whose
+mixing matrix is closed-form too; its 2^n atoms cost one dense tilt per
+v_t != 1/2 and are built only on read.
 :func:`pure_row_measure` (every solved position replayed as a dense tilt,
 eta_bar recorded on it) and :func:`row_objective` are the dense references.
 
@@ -31,7 +33,7 @@ it picks v_t = (1 + h_t) / 2; the later tilts then move cell (k, t) to
 TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), which is at least h_t.  So
 ascending order only ever overshoots, never undershoots, and with odds
 o_t = (1 + h_t) / (1 - h_t) cell (k, t) stays exact iff o_t >= prod_{s>t} o_s.
-When that holds for every t, both orders build the same measure; the row
+When that holds for every t, both orders pick the same flip vector; the row
 (0.5, 0.5, 0.2), with odds 3, 3, 1.5, misses cell (k, k+1) by 0.075.
 
 Stacking one pure-row component per row k = 1..n-1 in parallel realizes any
@@ -39,9 +41,8 @@ valid target matrix; see :func:`construct_from_target`.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,13 @@ from .measures import FiniteMeasure, SeqSpace, uniform
 from .mixing import MixingMatrix, TargetInvalid, _block_laws, eta_bar, validate_target
 from .products import ProductMeasure
 
-#: Default bisection tolerance on |achieved - target|.  Tighter than the
-#: 1e-9 verification tolerances so that drift across steps stays invisible.
+#: Audit bound on |achieved - target| for every solved cell, which the exact
+#: solve meets to a few float spacings.
 SOLVE_TOL = 1e-12
 
-SOLVE_MAX_ITER = 80
 
-
-class BracketError(RuntimeError):
-    """The bisection bracket [1/2, 1] does not contain the target value."""
+class SolveError(RuntimeError):
+    """A solved cell missed its target by more than SOLVE_TOL."""
 
 
 def _unit_values(n: int, k: int, xs, what: str) -> tuple[float, ...]:
@@ -167,12 +166,11 @@ class PureRow:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """Record of one solved position: chosen v, bisection halvings, the cell
-    value v achieves, and its signed miss ``residual = achieved - target``."""
+    """Record of one solved position: chosen v, the cell value v achieves,
+    and its signed miss ``residual = achieved - target``."""
 
     t: int
     v_star: float
-    iterations: int
     achieved: float
     residual: float
 
@@ -222,55 +220,41 @@ def _flip_cell(tail: np.ndarray, v: float) -> float:
     return float(np.abs(v * tail - (1.0 - v) * tail[::-1]).sum())
 
 
-def solve_v(
-    mu: FiniteMeasure | None,
-    k: int,
-    t: int,
-    target: float,
-    tol: float = SOLVE_TOL,
-    max_iter: int = SOLVE_MAX_ITER,
-    objective: Callable[[float], float] | None = None,
-) -> tuple[float, TraceStep]:
-    """Find v in [1/2, 1] with objective(v) = target.
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of x to about one rounding each: np.cumsum's (3e-14 off at
+    2^18 terms) plus the exact rounding error of each of its additions (TwoSum)."""
+    c = np.cumsum(x)
+    prev = np.concatenate(([0.0], c[:-1]))
+    part = c - prev
+    return c + np.cumsum((prev - (c - part)) + (x - part))
 
-    ``objective`` defaults to row_objective(mu, k, t, v); a caller that
-    passes its own does not need mu (it may be None).  Endpoints
-    are returned without bisection when they already meet the tolerance.
-    Otherwise a sign bracket of f(v) - target is maintained; the last
-    midpoint is returned after ``max_iter`` halvings even if the tolerance
-    was not met (the trace records what was achieved).
+
+def _flip_solve(tail: np.ndarray, target: float) -> float:
+    """Smallest v in [1/2, 1] with _flip_cell(tail, v) == target.
+
+    With r = tail[::-1] and s = tail + r, f(v) = sum_b |v s_b - r_b| is
+    2v - 1 past the last breakpoint r_b / s_b and v (2 S_j - S) - (2 R_j - R)
+    right of breakpoint j, for prefix sums S_j, R_j in breakpoint order.
     """
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"target {target!r} outside [0, 1]")
-    f = partial(row_objective, mu, k, t) if objective is None else objective
-
-    def step(v: float, iters: int, achieved: float) -> tuple[float, TraceStep]:
-        return v, TraceStep(t, v, iters, achieved, achieved - target)
-
-    f_lo = f(0.5)
-    if abs(f_lo - target) <= tol:
-        return step(0.5, 0, f_lo)
-    f_hi = f(1.0)
-    if abs(f_hi - target) <= tol:
-        return step(1.0, 0, f_hi)
-    if not f_lo < target < f_hi:
-        raise BracketError(
-            f"target {target!r} for pair ({k},{t}) outside bracket "
-            f"[f(1/2)={f_lo!r}, f(1)={f_hi!r}]"
-        )
-
-    lo, hi = 0.5, 1.0
-    mid, f_mid = lo, f_lo
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid - target) <= tol:
-            return step(mid, it, f_mid)
-        if f_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    return step(mid, max_iter, f_mid)
+    f_half = _flip_cell(tail, 0.5)
+    if target <= f_half:
+        return 0.5
+    r, s = tail[::-1], tail + tail[::-1]
+    c = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)  # empty pairs weigh nothing
+    v = 0.5 * (1.0 + target)
+    if v >= c.max():
+        return v
+    order = np.argsort(c)
+    c, s_sum, r_sum = c[order], _prefix_sums(s[order]), _prefix_sums(r[order])
+    up = c > 0.5
+    knots = np.concatenate(([0.5], c[up], [1.0]))
+    f_up = c[up] * (2.0 * s_sum[up] - s_sum[-1]) - (2.0 * r_sum[up] - r_sum[-1])
+    f = np.concatenate(([f_half], f_up, [1.0]))
+    # f[i-1] < target <= f[i] even where rounding breaks f's order, so the
+    # piece through those two knots rises and w lies in (0, 1]
+    i = int(np.searchsorted(f, target))
+    w = (target - f[i - 1]) / (f[i] - f[i - 1])
+    return float(knots[i - 1] + w * (knots[i] - knots[i - 1]))
 
 
 def _skips_solve(row: ValidRow, t: int, backward: bool) -> bool:
@@ -279,14 +263,13 @@ def _skips_solve(row: ValidRow, t: int, backward: bool) -> bool:
     return backward and t < row.n and row.target(t) == row.target(t + 1)
 
 
-def solve_row(
-    row: ValidRow, tol: float = SOLVE_TOL, order: str = "backward"
-) -> tuple[PureRow, tuple[TraceStep, ...]]:
+def solve_row(row: ValidRow, order: str = "backward") -> tuple[PureRow, tuple[TraceStep, ...]]:
     """Flip vector for ``row``, solved on the closed-form cell alone.
 
     Returns the :class:`PureRow` and one step per position in visit order,
     whose ``achieved`` is the closed-form cell.  Builds no dense measure.
-    ``order`` is as in :func:`pure_row_measure`.
+    ``order`` is as in :func:`pure_row_measure`.  Raises :class:`SolveError`
+    when a cell misses its target by more than SOLVE_TOL.
     """
     if order not in ("backward", "forward"):
         raise ValueError(f"unknown order {order!r}")
@@ -300,21 +283,22 @@ def solve_row(
     for t in ts:
         if _skips_solve(row, t, backward):
             # the target equals the one at t+1, so the residual carries over
-            step = replace(steps[-1], t=t, v_star=0.5, iterations=0)
+            step = replace(steps[-1], t=t, v_star=0.5)
         else:
-            _, step = solve_v(None, k, t, row.target(t), tol, objective=partial(_flip_cell, tail))
-            if backward and step.v_star != 0.5:
-                tail = np.kron([step.v_star, 1.0 - step.v_star], tail)
+            target = row.target(t)
+            v = _flip_solve(tail, target)
+            achieved = _flip_cell(tail, v)
+            step = TraceStep(t, v, achieved, achieved - target)
+            if abs(step.residual) > SOLVE_TOL:
+                raise SolveError(f"cell ({k},{t}) missed its target by {step.residual:.3e}")
+            if backward and v != 0.5:
+                tail = np.kron([v, 1.0 - v], tail)
         steps.append(step)
     return PureRow(n, k, tuple(s.v_star for s in sorted(steps, key=lambda s: s.t))), tuple(steps)
 
 
 def pure_row_measure(
-    n: int,
-    row: ValidRow,
-    tol: float = SOLVE_TOL,
-    order: str = "backward",
-    return_iterates: bool = False,
+    n: int, row: ValidRow, order: str = "backward", return_iterates: bool = False
 ):
     """Binary measure on {0,1}^n whose mixing matrix is ``row`` on row k and
     zero elsewhere.
@@ -336,7 +320,7 @@ def pure_row_measure(
     """
     if row.n != n:
         raise ValueError(f"row was built for n={row.n}, not n={n}")
-    _, solved = solve_row(row, tol, order)
+    _, solved = solve_row(row, order)
     k = row.k
     mu = uniform(SeqSpace(2, n))
     iterates = [mu]
@@ -381,9 +365,7 @@ def check_conditional_preservation(
     return float(np.abs(laws_b[alive_b] - laws_a[alive_b]).max()) <= tol
 
 
-def construct_from_target(
-    h: MixingMatrix, tol: float = SOLVE_TOL
-) -> tuple[ProductMeasure, list[ConstructionTrace]]:
+def construct_from_target(h: MixingMatrix) -> tuple[ProductMeasure, list[ConstructionTrace]]:
     """Measure over the packed alphabet {0,1}^(n-1) realizing a valid target.
 
     Row k of the target is delegated to an independent pure row-k component
@@ -391,7 +373,7 @@ def construct_from_target(
     product of the components then reproduces the whole matrix because each
     cell is nonzero in at most one component.  No dense measure is built
     for n >= 2.  Raises :class:`TargetInvalid` when the target fails
-    validation.
+    validation and :class:`SolveError` when a solved cell misses its target.
     """
     violations = validate_target(h)
     if violations:
@@ -402,7 +384,7 @@ def construct_from_target(
     components = []
     traces = []
     for k in range(1, n):
-        pr, steps = solve_row(ValidRow(n, k, tuple(h.entries[k - 1, k:n])), tol)
+        pr, steps = solve_row(ValidRow(n, k, tuple(h.entries[k - 1, k:n])))
         components.append(pr)
         traces.append(ConstructionTrace(k, steps))
     return ProductMeasure(tuple(components)), traces

@@ -279,13 +279,12 @@ def read_process_spec(path: str):
 # traces, bounds, CSV reports
 
 
-def traces_to_json(traces: list[ConstructionTrace], tolerance: float) -> str:
+def traces_to_json(traces: list[ConstructionTrace]) -> str:
     comps = []
     for tr in traces:
         steps = ",\n".join(
-            '        {"t": %d, "v_star": %s, "iterations": %d, '
-            '"achieved": %s, "residual": %s}'
-            % (s.t, _fmt(s.v_star), s.iterations, _fmt(s.achieved), _fmt(s.residual))
+            '        {"t": %d, "v_star": %s, "achieved": %s, "residual": %s}'
+            % (s.t, _fmt(s.v_star), _fmt(s.achieved), _fmt(s.residual))
             for s in tr.steps
         )
         comps.append(
@@ -293,13 +292,13 @@ def traces_to_json(traces: list[ConstructionTrace], tolerance: float) -> str:
             % (tr.k, steps)
         )
     return (
-        '{\n  "version": "%s",\n  "tolerance": %s,\n  "components": [\n%s\n  ]\n}\n'
-        % (FORMAT_VERSION, _fmt(tolerance), ",\n".join(comps))
+        '{\n  "version": "%s",\n  "components": [\n%s\n  ]\n}\n'
+        % (FORMAT_VERSION, ",\n".join(comps))
     )
 
 
-def write_traces(path: str, traces: list[ConstructionTrace], tolerance: float) -> None:
-    atomic_write(path, traces_to_json(traces, tolerance))
+def write_traces(path: str, traces: list[ConstructionTrace]) -> None:
+    atomic_write(path, traces_to_json(traces))
 
 
 def bounds_to_json(report: dict) -> str:

@@ -34,7 +34,8 @@ from .measures import DEFAULT_STATE_CAP, StateCapExceeded
 
 
 class HorizonTooSmall(ValueError):
-    """No admissible checkpoint horizon within n_max; carries the fix."""
+    """No admissible checkpoint horizon within n_max; carries the fix, an
+    n_max at which a rerun admits every checkpoint."""
 
     def __init__(self, k: int, eps: float, n_max: int, required: int):
         self.k = k
@@ -100,12 +101,29 @@ def validate_rate(r: RateFunction) -> list[str]:
     return out
 
 
+def _admits(rn: int, n: int, k: int, eps: float) -> bool:
+    """find_nk's test: h (n - k) / r(n) = min(r(n), n - k) / r(n) >= 1 - eps."""
+    return 1.0 - eps <= min(rn, n - k) / rn
+
+
+def _horizon_bound(k: int, eps: float) -> int:
+    """Least n admitting checkpoint k at the worst rate r(n) = n, so at every
+    valid rate.  (n - k) / n grows with n: double, then halve the gap."""
+    lo, hi = k, k + 1
+    while not _admits(hi, hi, k, eps):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _admits(mid, mid, k, eps) else (mid, hi)
+    return hi
+
+
 def find_nk(r: RateFunction, k: int, eps: float) -> tuple[int, float]:
     """Smallest horizon n and constant row value h admitting checkpoint k.
 
     Scans n = k+1, k+2, ... for h = min(1, r(n) / (n - k)) whose ratio
-    h * (n - k) / r(n) lands in [1 - eps, 1].  Any n >= k / eps works, so a
-    failed scan reports that bound as the horizon fix.
+    h * (n - k) / r(n) lands in [1 - eps, 1].  A failed scan reports
+    :func:`_horizon_bound` as the horizon fix.
 
     The returned h is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the
     first horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
@@ -118,11 +136,9 @@ def find_nk(r: RateFunction, k: int, eps: float) -> tuple[int, float]:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     for n in range(k + 1, r.n_max + 1):
         rn = r(n)
-        h = min(1.0, rn / (n - k))
-        ratio = h * (n - k) / rn
-        if 1.0 - eps <= ratio <= 1.0:
-            return n, h
-    raise HorizonTooSmall(k, eps, r.n_max, max(k + 1, math.ceil(k / eps)))
+        if _admits(rn, n, k, eps):
+            return n, min(1.0, rn / (n - k))
+    raise HorizonTooSmall(k, eps, r.n_max, _horizon_bound(k, eps))
 
 
 @dataclass(frozen=True)
@@ -192,7 +208,12 @@ def build_process(
     components = []
     sub = RateFunction(r.values[:n_max])
     for k, e in enumerate(eps, start=1):
-        n_k, h_k = find_nk(sub, k, e)
+        try:
+            n_k, h_k = find_nk(sub, k, e)
+        except HorizonTooSmall:
+            # the bound grows with k and as eps falls: a rerun's last checkpoint needs the most
+            last = eps[-1] if len(eps) == k_max else 1 / (k_max + 1)
+            raise HorizonTooSmall(k, e, n_max, _horizon_bound(k_max, last)) from None
         checkpoints.append(Checkpoint(k, e, n_k, h_k))
         components.append(_constant_row(n_k, k, h_k))
     return TruncatedProcess(r, n_max, tuple(checkpoints), tuple(components))

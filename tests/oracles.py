@@ -2,12 +2,15 @@
 
 Everything here works by direct enumeration over sequences (itertools plus
 dict arithmetic) or closed-form algebra, deliberately sharing no code with
-the package's vectorized paths.
+the package's vectorized paths.  The enumerations add and divide whatever
+numbers the measure's ``prob`` returns, so a measure with Fraction atoms
+gets exact coefficients.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from etamix import FiniteMeasure
 
@@ -18,16 +21,37 @@ def _atoms(mu: FiniteMeasure):
         yield x, mu.prob(x)
 
 
+class FlipLawExact:
+    """Law on {0,1}^n with Fraction atoms: X_1..X_k iid fair bits and each
+    later X_t equal to X_k with probability v[t-k-1], independently.  Exact
+    even where float atoms would be subnormal."""
+
+    q = 2
+
+    def __init__(self, n: int, k: int, v):
+        self.n = n
+        self._atoms = {}
+        for x in itertools.product((0, 1), repeat=n):
+            p = Fraction(1, 2 ** min(k, n))
+            for t in range(k + 1, n + 1):
+                f = Fraction(v[t - k - 1])
+                p *= f if x[t - 1] == x[k - 1] else 1 - f
+            self._atoms[x] = p
+
+    def prob(self, x):
+        return self._atoms[x]
+
+
 def block_law_slow(mu: FiniteMeasure, prefix: tuple[int, ...], j: int):
     """Law of (X_j, ..., X_n) given a prefix, or None when the prefix is null."""
-    total = 0.0
+    total = 0
     law: dict[tuple[int, ...], float] = {}
     for x, p in _atoms(mu):
         if x[: len(prefix)] != prefix:
             continue
         total += p
         key = x[j - 1 :]
-        law[key] = law.get(key, 0.0) + p
+        law[key] = law.get(key, 0) + p
     if total <= 0.0:
         return None
     return {k: v / total for k, v in law.items()}
@@ -35,7 +59,7 @@ def block_law_slow(mu: FiniteMeasure, prefix: tuple[int, ...], j: int):
 
 def tv_slow(a: dict, b: dict) -> float:
     keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+    return sum(abs(a.get(k, 0) - b.get(k, 0)) for k in keys) / 2
 
 
 def eta_bar_slow(mu: FiniteMeasure, i: int, j: int) -> float:

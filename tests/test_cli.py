@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import etamix.construction as construction
-from etamix import BracketError, MixingMatrix, mixing_matrix, uniform
+from etamix import MixingMatrix, mixing_matrix, uniform
 from etamix.cli import main
 from etamix.fileio import (
     FORMAT_VERSION,
@@ -115,31 +116,26 @@ class TestConstructRoundTrip:
     FLAT_TARGET = [[0.0, 0.7, 0.3, 0.3], [0.0, 0.0, 0.6, 0.6], [0.0, 0.0, 0.0, 0.3],
                    [0.0] * 4]
 
-    def test_nonpositive_tolerance_exit_code(self, tmp_path):
-        h = str(tmp_path / "h.json")
-        write_matrix(h, MixingMatrix(self.FLAT_TARGET))
-        for tol in ("-1", "0"):
-            r = run_cli("construct", h, "-o", str(tmp_path / "pm.json"), "--tolerance", tol)
-            assert r.returncode == 2
-            assert r.stderr.count("\n") == 1 and "--tolerance" in r.stderr
-
     def test_flat_rows_at_tiny_tolerance(self, tmp_path):
         # Equal neighbours take v = 1/2 exactly, so float noise in f(1/2)
-        # cannot push the target outside the bisection bracket.
+        # cannot move them, and every other cell is solved to rounding.
         h = str(tmp_path / "h.json")
+        trace = tmp_path / "trace.json"
         write_matrix(h, MixingMatrix(self.FLAT_TARGET))
-        r = run_cli("construct", h, "-o", str(tmp_path / "pm.json"), "--tolerance", "1e-20")
+        r = run_cli("construct", h, "-o", str(tmp_path / "pm.json"), "--trace", str(trace))
         assert r.returncode == 0, r.stderr
+        comps = json.loads(trace.read_text())["components"]
+        steps = {(c["k"], s["t"]): s for c in comps for s in c["steps"]}
+        assert steps[1, 3]["v_star"] == steps[2, 3]["v_star"] == 0.5
+        assert max(abs(s["residual"]) for s in steps.values()) <= 1e-15
 
     def test_solver_failure_exit_code(self, tmp_path, target_file, monkeypatch, capsys):
-        def failing(mu, k, t, target, *args, **kwargs):
-            raise BracketError(f"target {target!r} for pair ({k},{t}) outside bracket")
-
-        monkeypatch.setattr(construction, "solve_v", failing)
+        # a wrong flip probability: the audit in solve_row catches the miss
+        monkeypatch.setattr(construction, "_flip_solve", lambda tail, target: 1.0)
         pm = tmp_path / "pm.json"
         assert main(["construct", target_file, "-o", str(pm)]) == 6
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "outside bracket" in err
+        assert err.count("\n") == 1 and "missed its target" in err
         assert not pm.exists()
 
 
@@ -282,14 +278,30 @@ class TestRate:
         assert (last[0], last[2], last[-1]) == ("7", "56", "true")
 
     def test_linear_rate_horizon_fix_past_the_state_cap(self, tmp_path):
-        # checkpoint 8 needs (n - 8) / n >= 8/9, so n >= 72
+        # checkpoint 8 fails first, but checkpoint 10 needs
+        # (n - 10) / n >= 10/11, so n >= 110
         spec = self._spec(
             tmp_path,
             {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 10, "n_max": 64},
         )
         r = run_cli("rate", spec, "-o", str(tmp_path / "cp.csv"))
         assert r.returncode == 5
-        assert "n_max >= 72 suffices" in r.stderr
+        assert "n_max >= 110 suffices" in r.stderr
+
+    @pytest.mark.parametrize("n_max", [6, 30, 42])
+    def test_rerun_at_the_hinted_horizon_passes(self, tmp_path, n_max, capsys):
+        # the hint covers every checkpoint, not just the first that fails;
+        # for the linear rate, the worst case, it is also the least that works
+        def rate(n_max):
+            spec = {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 10, "n_max": n_max}
+            code = main(["rate", self._spec(tmp_path, spec), "-o", str(tmp_path / "cp.csv")])
+            return code, capsys.readouterr().err
+
+        code, err = rate(n_max)
+        assert code == 5
+        hint = int(re.search(r"n_max >= (\d+) suffices", err).group(1))
+        assert rate(hint)[0] == 0
+        assert rate(hint - 1)[0] == 5
 
     @pytest.mark.parametrize("eps", [[None], [0.5, [0.3]], ["0.5"], [True], [10**400]])
     def test_non_number_eps_exit_code(self, tmp_path, eps, capsys):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etamix.construction as construction
 import etamix.measures as measures
 from etamix import (
-    BracketError,
     MixingMatrix,
     PureRow,
     SeqSpace,
@@ -24,11 +23,11 @@ from etamix import (
     reweight,
     row_objective,
     solve_row,
-    solve_v,
     uniform,
 )
 
-from oracles import mixing_matrix_slow
+from helpers import random_valid_target
+from oracles import FlipLawExact, mixing_matrix_slow
 
 
 class TestValidRow:
@@ -121,37 +120,80 @@ class TestRowObjective:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+@st.composite
+def _tilted_pure_rows(draw):
+    """(n, k, t, later, v): flips ``later`` at positions n, n-1, ..., t+1."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    t = draw(st.integers(k + 1, n))
+    flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0))
+    later = draw(st.lists(flip, min_size=n - t, max_size=n - t))
+    return n, k, t, later, draw(flip)
+
+
 class TestSolveV:
     def test_interior_target(self):
-        v, step = solve_v(uniform(2, 2), 1, 2, 0.5)
-        assert v == 0.75
+        (step,) = solve_row(ValidRow(2, 1, (0.5,)))[1]
+        assert step.v_star == 0.75
         assert step.achieved == pytest.approx(0.5, abs=1e-12)
         assert step.residual == step.achieved - 0.5
         assert abs(step.residual) <= construction.SOLVE_TOL
-        assert step.iterations >= 1
 
-    def test_endpoint_targets_skip_bisection(self):
-        v0, s0 = solve_v(uniform(2, 2), 1, 2, 0.0)
-        v1, s1 = solve_v(uniform(2, 2), 1, 2, 1.0)
-        assert (v0, s0.iterations) == (0.5, 0)
-        assert (v1, s1.iterations) == (1.0, 0)
+    def test_endpoint_targets_are_exact(self):
+        one = np.ones(1)
+        assert construction._flip_solve(one, 0.0) == 0.5
+        assert construction._flip_solve(one, 1.0) == 1.0
 
     def test_target_validation(self):
+        # targets reach the solve only through a ValidRow, which checks the range
         with pytest.raises(ValueError):
-            solve_v(uniform(2, 2), 1, 2, 1.5)
+            solve_row(ValidRow(2, 1, (1.5,)))
 
-    def test_bracket_error_when_floor_exceeds_target(self):
-        # Couple (1,3) hard; the (1,2) coefficient then sits at 0.8 even at
-        # v = 1/2, so targets below that floor cannot be bracketed.
+    @pytest.mark.parametrize("h", [0.0, 1e-12, 0.3, 0.6, 1.0 - 2.0**-53, 1.0])
+    def test_single_flip_is_half_one_plus_h(self, h):
+        assert construction._flip_solve(np.ones(1), h) == (1.0 + h) / 2.0
+
+    def test_target_below_the_floor_gives_half(self):
+        # Couple (1,3) hard; the (1,2) cell then sits at 0.8 even at v = 1/2,
+        # and nothing in [1/2, 1] brings it lower.
         mu = reweight(uniform(2, 3), 1, 3, 0.9)
         assert row_objective(mu, 1, 2, 0.5) == pytest.approx(0.8, abs=1e-12)
-        with pytest.raises(BracketError):
-            solve_v(mu, 1, 2, 0.2)
+        assert construction._flip_solve(np.array([0.9, 0.1]), 0.2) == 0.5
 
-    def test_iteration_cap_returns_last_midpoint(self):
-        v, step = solve_v(uniform(2, 2), 1, 2, 0.3, tol=0.0, max_iter=12)
-        assert step.iterations == 12
-        assert step.achieved == pytest.approx(0.3, abs=2.0 ** -11)
+    def test_flat_piece_at_half(self):
+        # tail [0.9, 0.1]: f is 0.8 on [1/2, 0.9] and 2v - 1 beyond
+        tail = np.array([0.9, 0.1])
+        assert construction._flip_solve(tail, 0.8) == 0.5
+        v = construction._flip_solve(tail, np.nextafter(0.8, 1.0))
+        assert np.isfinite(v) and v == pytest.approx(0.9, abs=1e-15)
+        assert construction._flip_solve(tail, 0.85) == 0.925
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tilted_pure_rows(), st.floats(0.0, 1.0))
+    def test_solves_the_dense_cell(self, case, u):
+        n, k, t, later, v = case
+        mu = uniform(2, n)
+        tail = np.ones(1)
+        for s, v_s in zip(range(n, t, -1), later):
+            mu = reweight(mu, k, s, v_s)
+            if v_s != 0.5:
+                tail = np.kron([v_s, 1.0 - v_s], tail)
+        floor = row_objective(mu, k, t, 0.5)
+        # a free target and one the drawn flip reaches
+        for target in (u, construction._flip_cell(tail, v)):
+            v_star = construction._flip_solve(tail, target)
+            assert 0.5 <= v_star <= 1.0
+            if target <= construction._flip_cell(tail, 0.5):
+                assert v_star == 0.5
+                assert target <= floor + 1e-12
+            else:
+                assert abs(row_objective(mu, k, t, v_star) - target) <= 1e-12
+
+    def test_residuals_at_n20(self):
+        rng = np.random.default_rng(2020)
+        for _ in range(3):
+            _, traces = construct_from_target(random_valid_target(20, rng))
+            assert max(abs(s.residual) for tr in traces for s in tr.steps) <= 1e-14
 
 
 class TestPureRowMeasure:
@@ -216,16 +258,16 @@ class TestPureRowMeasure:
 
     def test_flat_segment_skips_the_solve(self, monkeypatch):
         solved = []
-        real = construction.solve_v
+        real = construction._flip_solve
 
-        def counting(mu, k, t, *args, **kwargs):
-            solved.append(t)
-            return real(mu, k, t, *args, **kwargs)
+        def counting(tail, target):
+            solved.append(target)
+            return real(tail, target)
 
-        monkeypatch.setattr(construction, "solve_v", counting)
+        monkeypatch.setattr(construction, "_flip_solve", counting)
         mu, trace = pure_row_measure(5, ValidRow(5, 1, (0.6,) * 4))
-        assert set(solved) == {5}
-        assert [(s.v_star, s.iterations) for s in trace.steps[1:]] == [(0.5, 0)] * 3
+        assert solved == [0.6]
+        assert [s.v_star for s in trace.steps[1:]] == [0.5] * 3
         assert np.allclose(mixing_matrix(mu).entries[0, 1:], 0.6, atol=1e-12)
 
     def test_row_n_mismatch(self):
@@ -254,23 +296,16 @@ class TestVisitOrder:
 
     def test_orders_agree_when_each_odds_dominates_later_product(self):
         # For (0.8, 0.5, 0.2) every target's odds (1+h)/(1-h) dominate the
-        # product of the later odds, the tilts commute, and both visit
-        # orders produce the same measure bit for bit.
+        # product of the later odds, so each backward solve lands past the
+        # last breakpoint on v = (1 + h) / 2: both visit orders pick the same
+        # flip vector bit for bit, and their dense replays, which tilt in
+        # opposite orders, agree to rounding.
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
+        assert solve_row(row, order="forward")[0] == solve_row(row)[0]
+        assert solve_row(row)[0].v == (0.9, 0.75, 0.6)
         fwd, _ = pure_row_measure(4, row, order="forward")
         bwd, _ = pure_row_measure(4, row)
-        assert np.array_equal(fwd.probs, bwd.probs)
-
-
-@st.composite
-def _tilted_pure_rows(draw):
-    """(n, k, t, later, v): flips ``later`` at positions n, n-1, ..., t+1."""
-    n = draw(st.integers(2, 8))
-    k = draw(st.integers(1, n - 1))
-    t = draw(st.integers(k + 1, n))
-    flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0))
-    later = draw(st.lists(flip, min_size=n - t, max_size=n - t))
-    return n, k, t, later, draw(flip)
+        assert np.all(np.abs(fwd.probs - bwd.probs) <= 4 * np.spacing(bwd.probs))
 
 
 class TestClosedFormCell:
@@ -307,7 +342,7 @@ class TestClosedFormCell:
         for step, solved in zip(trace.steps, closed):
             t = step.t
             if order == "backward" and t < n and row.target(t) == row.target(t + 1):
-                assert (step.v_star, step.iterations) == (0.5, 0)
+                assert step.v_star == 0.5
             else:
                 replay = reweight(replay, k, t, step.v_star)
             assert step.achieved == eta_bar(replay, k, t)
@@ -350,10 +385,12 @@ def _pure_rows(draw):
 class TestPureRow:
     @settings(max_examples=40, deadline=None)
     @given(_pure_rows())
+    # subnormal atoms: a float64 reference puts 1.1e-11 into cell (2, 3)
+    @example(PureRow(3, 1, (2.2250738585e-313, 0.625)))
     def test_prefix_matrices_match_oracle(self, pr):
-        mu = pr.dense()
         for m in range(2, pr.n + 1):
-            want = np.array(mixing_matrix_slow(marginal(mu, 1, m)))
+            law = FlipLawExact(m, pr.k, pr.v[: max(m - pr.k, 0)])
+            want = np.array(mixing_matrix_slow(law), dtype=float)
             assert np.abs(pr.matrix(m) - want).max() <= 1e-12
         assert pr.matrix().shape == (pr.n, pr.n)
 

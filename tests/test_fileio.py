@@ -20,6 +20,7 @@ from etamix import (
     random_measure,
     uniform,
 )
+from etamix.construction import SOLVE_TOL
 from etamix.fileio import (
     FORMAT_VERSION,
     FileFormatError,
@@ -289,16 +290,16 @@ class TestReports:
 
         h = MixingMatrix([[0.0, 0.5], [0.0, 0.0]])
         _, traces = construct_from_target(h)
-        obj = json.loads(traces_to_json(traces, 1e-12))
+        obj = json.loads(traces_to_json(traces))
+        assert set(obj) == {"version", "components"}
         assert obj["version"] == FORMAT_VERSION
-        assert obj["tolerance"] == 1e-12
         (comp,) = obj["components"]
         assert comp["k"] == 1
         (step,) = comp["steps"]
-        assert set(step) == {"t", "v_star", "iterations", "achieved", "residual"}
+        assert set(step) == {"t", "v_star", "achieved", "residual"}
         assert step["v_star"] == 0.75
         assert step["residual"] == step["achieved"] - 0.5
-        assert abs(step["residual"]) <= obj["tolerance"]
+        assert abs(step["residual"]) <= SOLVE_TOL
 
     def test_bounds_json_key_order(self):
         rep = bounds_report(MixingMatrix.zeros(2), 1.0)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import etamix.measures as measures
@@ -127,13 +127,15 @@ class TestBuildProcess:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(1, n - 1), st.floats(0.0, 1.0))))
+    # h at the audit bound: v is still (1 + h) / 2, not the 1/2 within 1e-12 of it
+    @example((2, 1, 1e-12))
     def test_constant_row_matches_the_row_solve(self, case):
         n, k, h = case
         direct = _constant_row(n, k, h)
         solved, _ = solve_row(ValidRow(n, k, (h,) * (n - k)))
-        # the solve stops within its 1e-12 tolerance on |2v - 1| = h
-        assert np.abs(np.subtract(direct.v, solved.v)).max() <= 1e-12
-        assert np.abs(direct.matrix() - solved.matrix()).max() <= 1e-12
+        # the one flip lies past the breakpoint of the empty tail, where the
+        # solve takes (1 + h) / 2 itself
+        assert direct == solved
         assert np.abs(direct.matrix()[k - 1, k:] - h).max() <= 1e-15
 
     def test_default_eps_sequence(self):
