@@ -124,25 +124,32 @@ class PureRow:
         """The dense space {0,1}^n; raises StateCapExceeded past the cap."""
         return SeqSpace(2, self.n)
 
-    def matrix(self, m: int | None = None) -> np.ndarray:
-        """Mixing matrix of the length-m prefix (default n), as an m-by-m array.
+    def row(self, m: int) -> np.ndarray:
+        """Cells (k, k+1), ..., (k, m) of the length-m prefix's mixing matrix.
 
-        Given the first k bits, the later ones depend on X_k alone, so every
-        row but k is zero, and cell (k, t) is TV(prod_{t<=s<=m} Bern(v_s),
-        its bit-flip mirror).  Positions with v_s = 1/2 cancel, so the cost
-        is O(sum of the tail lengths), with no 2^m measure.
+        Given the first k bits, the later ones depend on X_k alone, so row k
+        is the prefix's only nonzero row, and cell (k, t) is
+        TV(prod_{t<=s<=m} Bern(v_s), its bit-flip mirror).  A cell changes
+        only where v_s != 1/2; those positions are visited from m down, each
+        run between two filled by one slice, with no 2^m measure.
         """
-        m = self.n if m is None else m
         if not 1 <= m <= self.n:
             raise ValueError(f"prefix length {m} outside 1..{self.n}")
-        out = np.zeros((m, m))
-        tail, cell = np.ones(1), 0.0
-        for t in range(m, self.k, -1):
-            v = self.v[t - self.k - 1]
-            if v != 0.5:
-                cell = _flip_cell(tail, v)
-                tail = np.kron([v, 1.0 - v], tail)
-            out[self.k - 1, t - 1] = cell
+        v = np.asarray(self.v[: max(m - self.k, 0)])
+        out = np.zeros(v.size)
+        tail, cell, hi = np.ones(1), 0.0, v.size
+        for j in np.flatnonzero(v != 0.5)[::-1].tolist():
+            out[j + 1 : hi] = cell
+            cell = _flip_cell(tail, v[j])
+            tail = np.kron([v[j], 1.0 - v[j]], tail)
+            hi = j + 1
+        out[:hi] = cell
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """Mixing matrix on {0,1}^n: :meth:`row` (n) on row k, zero elsewhere."""
+        out = np.zeros((self.n, self.n))
+        out[self.k - 1, self.k :] = self.row(self.n)
         return out
 
     def dense(self) -> FiniteMeasure:

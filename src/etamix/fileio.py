@@ -24,6 +24,9 @@ from .products import ProductMeasure
 
 FORMAT_VERSION = f"etamix-{__version__}"
 
+#: Version tags a reader accepts besides none; no input format changed since 0.1.0.
+READ_VERSIONS = ("etamix-0.1.0", "etamix-0.2.0", "etamix-0.3.0")
+
 #: Acceptable drift of sum(probs) in a measure file before it is rejected.
 READ_NORM_TOL = 1e-9
 
@@ -139,6 +142,8 @@ def _load(path: str) -> dict:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
+    if obj.get("version", READ_VERSIONS[0]) not in READ_VERSIONS:
+        raise FileFormatError(f"{path}: unknown version {obj['version']!r}")
     return obj
 
 

@@ -131,10 +131,6 @@ class SignedVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
 
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
 
 def _as_space(space: SeqSpace | int, n: int | None) -> SeqSpace:
     if isinstance(space, SeqSpace):

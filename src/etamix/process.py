@@ -17,9 +17,12 @@ Each component is kept in that flip-vector form
 (:class:`~etamix.construction.PureRow`), whose prefix matrices are closed
 form: cell (k, t) of the length-m prefix is TV(prod_{t<=s<=m} Bern(v_s), its
 bit-flip mirror), which is 1 for t <= m = n_k and 0 for m < n_k.  Components
-run in parallel and are padded beyond their natural length by independent
-fair bits, which contribute nothing to any cell, so Delta_n is the identity
-plus the components' closed-form blocks and no 2^(n_k) measure is built.
+run in parallel, padded beyond their natural length by independent fair bits
+that add nothing to any cell, and component k lives on row k (build_process
+guarantees it), so no two add on one row: R(n) is 1 plus the largest
+component row sum.  The audit reads each component's row (PureRow.row) and
+builds neither an n-by-n array nor a 2^(n_k) measure: O(k_max * sum of n_k)
+numpy work in all.
 """
 from __future__ import annotations
 
@@ -28,24 +31,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import op_norm_inf
 from .construction import PureRow
 from .measures import DEFAULT_STATE_CAP, StateCapExceeded
 
 
 class HorizonTooSmall(ValueError):
     """No admissible checkpoint horizon within n_max; carries the fix, an
-    n_max at which a rerun admits every checkpoint."""
+    n_max at which a rerun admits every checkpoint, named only within the
+    rate-table cap."""
 
     def __init__(self, k: int, eps: float, n_max: int, required: int):
         self.k = k
         self.eps = eps
         self.n_max = n_max
         self.required_n_max = required
-        super().__init__(
-            f"no horizon <= {n_max} admits checkpoint k={k} at eps={eps}; "
-            f"n_max >= {required} suffices"
-        )
+        fix = f"n_max >= {required} suffices"
+        if required > DEFAULT_STATE_CAP:
+            fix = f"the horizon it needs is past the {DEFAULT_STATE_CAP}-entry rate-table cap"
+        super().__init__(f"no horizon <= {n_max} admits checkpoint k={k} at eps={eps}; {fix}")
 
 
 @dataclass(frozen=True)
@@ -219,34 +222,23 @@ def build_process(
     return TruncatedProcess(r, n_max, tuple(checkpoints), tuple(components))
 
 
-def _component_matrix(p: TruncatedProcess, k: int, n: int) -> np.ndarray:
-    """Mixing matrix of component k's length-n prefix, as an n-by-n block.
-
-    Beyond the natural length the fair-bit padding contributes nothing, so
-    the component's own matrix embeds in the top-left corner.
-    """
-    comp = p.components[k - 1]
-    m = min(n, comp.n)
-    out = np.zeros((n, n))
-    out[:m, :m] = comp.matrix(m)
-    return out
-
-
 def delta_matrix(p: TruncatedProcess, n: int) -> np.ndarray:
-    """Unit-diagonal coefficient matrix of the length-n prefix, built
-    cell-by-cell from the components (rows are disjoint, so the per-cell sum
-    is the exact joint coefficient)."""
+    """Unit-diagonal coefficient matrix of the length-n prefix: the identity
+    with each component's row, of its min(n, n_k) prefix, written into row k."""
     if not 1 <= n <= p.n_max:
         raise ValueError(f"n={n} outside 1..{p.n_max}")
     delta = np.eye(n)
-    for k in range(1, p.k_max + 1):
-        delta += _component_matrix(p, k, n)
+    for c in p.components[: n - 1]:  # component k lives on row k < n
+        m = min(n, c.n)
+        delta[c.k - 1, c.k : m] = c.row(m)
     return delta
 
 
 def rate_R(p: TruncatedProcess, n: int) -> float:
     """Mixing rate at horizon n: max row sum of the prefix Delta matrix."""
-    return op_norm_inf(delta_matrix(p, n))
+    if not 1 <= n <= p.n_max:
+        raise ValueError(f"n={n} outside 1..{p.n_max}")
+    return 1.0 + max(float(c.row(min(n, c.n)).sum()) for c in p.components)
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,8 @@ class ProductMeasure:
         return self.components[0].n
 
     @property
-    def alphabet_sizes(self) -> tuple[int, ...]:
-        return tuple(c.q for c in self.components)
-
-    @property
     def alphabet_size(self) -> int:
-        return prod(self.alphabet_sizes)
+        return prod(c.q for c in self.components)
 
 
 def series_product(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:

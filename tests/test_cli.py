@@ -288,6 +288,40 @@ class TestRate:
         assert r.returncode == 5
         assert "n_max >= 110 suffices" in r.stderr
 
+    def test_horizon_past_the_rate_table_cap_names_no_rerun(self, tmp_path, capsys):
+        # checkpoint 5000 needs n_max >= 25005000, which no builtin rate
+        # table may hold (exit 3 on a rerun), so no n_max is suggested
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 5000, "n_max": 64},
+        )
+        assert main(["rate", spec, "-o", str(tmp_path / "cp.csv")]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rate-table cap" in err
+        assert "n_max >=" not in err and "25005000" not in err
+
+    def test_linear_rate_at_k_max_100(self, tmp_path):
+        # checkpoint k of the linear rate needs (n - k) / n >= 1 - 1 / (k + 1),
+        # so n_k = k (k + 1), one more where float rounding puts the exact
+        # ratio k / (k + 1) below 1 - eps_k (k = 2, 6, 18, 26, 62)
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 100, "n_max": 10100},
+        )
+        out = str(tmp_path / "cp.csv")
+        r = run_cli("rate", spec, "-o", out)
+        assert r.returncode == 0, r.stderr
+        assert "100/100 checkpoints pass" in r.stdout
+        rows = [line.split(",") for line in open(out).read().splitlines()[2:]]
+
+        def n_k(k):
+            n = k * (k + 1)
+            return n if (n - k) / n >= 1.0 - 1.0 / (k + 1) else n + 1
+
+        assert [(int(row[0]), int(row[2]), row[-1]) for row in rows] == [
+            (k, n_k(k), "true") for k in range(1, 101)
+        ]
+
     @pytest.mark.parametrize("n_max", [6, 30, 42])
     def test_rerun_at_the_hinted_horizon_passes(self, tmp_path, n_max, capsys):
         # the hint covers every checkpoint, not just the first that fails;

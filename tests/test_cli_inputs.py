@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ SPECS = (
 MATRIX = {"version": "etamix-0.2.0", "n": 3,
           "entries": [[0.0, 0.6, 0.4], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]]}
 MEASURE = {"version": "etamix-0.2.0", "q": 2, "n": 2, "probs": [0.25, 0.25, 0.125, 0.375]}
+PRODUCT = {"version": "etamix-0.2.0", "n": 2, "components": [
+    {key: MEASURE[key] for key in ("q", "n", "probs")}] * 2}
 
 
 def _paths(obj, path=()):
@@ -60,7 +63,7 @@ def _mutated(docs):
     return draw()
 
 
-def _run(command: str, doc: dict) -> None:
+def _run(command: str, doc: dict) -> int:
     with tempfile.TemporaryDirectory() as d:
         src = os.path.join(d, "input.json")
         with open(src, "w") as fh:
@@ -72,6 +75,7 @@ def _run(command: str, doc: dict) -> None:
     assert code in range(7), (code, doc)
     if code in (2, 3, 5, 6):
         assert err.getvalue().count("\n") == 1, (code, doc, err.getvalue())
+    return code
 
 
 class TestMutatedInputs:
@@ -94,3 +98,22 @@ class TestMutatedInputs:
     @given(_mutated([MEASURE]))
     def test_mix(self, doc):
         _run("mix", doc)
+
+
+READERS = (("mix", MEASURE), ("validate", MATRIX), ("rate", SPECS[0]), ("product", PRODUCT))
+
+
+class TestVersionTag:
+    @pytest.mark.parametrize("command,doc", READERS)
+    @pytest.mark.parametrize("version", ["etamix-0.1.0", "etamix-0.2.0", "etamix-0.3.0", None])
+    def test_known_or_missing_version_is_read(self, command, doc, version):
+        doc = {key: value for key, value in doc.items() if key != "version"}
+        if version is not None:
+            doc["version"] = version
+        assert _run(command, doc) == 0
+
+    @pytest.mark.parametrize("command,doc", READERS)
+    @pytest.mark.parametrize("version", ["bogus-9", "etamix-9.0.0", "", None, 0.3, ["etamix-0.3.0"]])
+    def test_unknown_version_exit_code(self, command, doc, version):
+        # one stderr line, checked by _run
+        assert _run(command, dict(doc, version=version)) == 2

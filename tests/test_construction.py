@@ -388,11 +388,19 @@ class TestPureRow:
     # subnormal atoms: a float64 reference puts 1.1e-11 into cell (2, 3)
     @example(PureRow(3, 1, (2.2250738585e-313, 0.625)))
     def test_prefix_matrices_match_oracle(self, pr):
-        for m in range(2, pr.n + 1):
-            law = FlipLawExact(m, pr.k, pr.v[: max(m - pr.k, 0)])
+        k = pr.k
+        for m in range(1, pr.n + 1):
+            law = FlipLawExact(m, k, pr.v[: max(m - k, 0)])
             want = np.array(mixing_matrix_slow(law), dtype=float)
-            assert np.abs(pr.matrix(m) - want).max() <= 1e-12
-        assert pr.matrix().shape == (pr.n, pr.n)
+            row = pr.row(m)
+            assert row.shape == (max(m - k, 0),)
+            if k < m:
+                assert np.abs(row - want[k - 1, k:]).max() <= 1e-12
+                want[k - 1, k:] = 0.0
+            assert not want.any()  # every other row of the prefix is zero
+        placed = np.zeros((pr.n, pr.n))
+        placed[k - 1, k:] = pr.row(pr.n)
+        assert np.array_equal(pr.matrix(), placed)
 
     def test_measure_read_interface(self):
         pr = PureRow(3, 1, (0.5, 1.0))
@@ -404,9 +412,11 @@ class TestPureRow:
 
     def test_no_dense_measure_for_the_matrix(self):
         pr = PureRow(60, 7, (0.5,) * 52 + (1.0,))
-        e = pr.matrix(60)
+        assert pr.row(60).tolist() == [1.0] * 53
+        e = pr.matrix()
         assert e[6, 7:].tolist() == [1.0] * 53 and e.sum() == 53.0
-        assert not pr.matrix(59).any()
+        row = pr.row(59)
+        assert row.shape == (52,) and not row.any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -416,7 +426,9 @@ class TestPureRow:
         with pytest.raises(ValueError):
             PureRow(3, 1, (0.5, 1.5))
         with pytest.raises(ValueError):
-            PureRow(3, 1, (0.5, 0.5)).matrix(4)
+            PureRow(3, 1, (0.5, 0.5)).row(4)
+        with pytest.raises(ValueError):
+            PureRow(3, 1, (0.5, 0.5)).row(0)
         with pytest.raises(ValueError):
             solve_row(ValidRow(3, 1, (0.5, 0.2)), order="sideways")
 

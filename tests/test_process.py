@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from etamix import (
     uniform,
     validate_rate,
 )
+from etamix.concentration import op_norm_inf
 from etamix.process import _constant_row
+
+from oracles import FlipLawExact, mixing_matrix_slow
 
 
 class TestRateFunction:
@@ -257,3 +261,62 @@ class TestCheckCheckpoints:
         reports = check_checkpoints(broken)
         assert not reports[1].passed
         assert reports[0].passed  # the untouched checkpoint still audits clean
+
+
+@st.composite
+def _processes(draw, n_max_hi):
+    """A process built on a random valid rate table; k_max is cut back to
+    the checkpoints its horizon admits at the default eps."""
+    n_max = draw(st.integers(2, n_max_hi))
+    values = [1]
+    for n in range(2, n_max + 1):
+        values.append(draw(st.integers(values[-1], n)))
+    r = RateFunction(tuple(values))
+    try:
+        return build_process(r, k_max=draw(st.integers(1, n_max - 1)), n_max=n_max)
+    except HorizonTooSmall as exc:  # checkpoint 1 (eps 1/2) is admitted at n = 2
+        return build_process(r, k_max=exc.k - 1, n_max=n_max)
+
+
+def _corrupted(draw, p):
+    """p with one component's flip vector redrawn at random."""
+    i = draw(st.integers(0, p.k_max - 1))
+    c = p.components[i]
+    flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.0, 1.0))
+    v = draw(st.lists(flip, min_size=c.n - c.k, max_size=c.n - c.k))
+    comps = list(p.components)
+    comps[i] = PureRow(c.n, c.k, tuple(v))
+    return dataclasses.replace(p, components=tuple(comps))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_prefix(m, k, v):
+    """Mixing matrix of the length-m flip-vector law, by enumeration."""
+    return np.array(mixing_matrix_slow(FlipLawExact(m, k, v)), dtype=float)
+
+
+class TestRateFromRows:
+    def test_horizon_bounds(self, process):
+        with pytest.raises(ValueError):
+            rate_R(process, 0)
+        with pytest.raises(ValueError):
+            rate_R(process, 13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rate_matches_oracle_prefix_matrices(self, data):
+        p = data.draw(_processes(8))
+        if data.draw(st.booleans()):
+            p = _corrupted(data.draw, p)
+        for n in range(1, p.n_max + 1):
+            delta = np.eye(n)
+            for c in p.components:
+                m = min(n, c.n)  # the fair-bit padding adds nothing
+                delta[:m, :m] += _oracle_prefix(m, c.k, c.v[: max(m - c.k, 0)])
+            assert abs(rate_R(p, n) - op_norm_inf(delta)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_processes(64))
+    def test_rate_is_the_delta_row_sum(self, p):
+        for n in range(1, p.n_max + 1):
+            assert rate_R(p, n) == op_norm_inf(delta_matrix(p, n))
