@@ -3,11 +3,12 @@
 Subcommands: mix, construct, rate, bounds, validate, product, scan.  Exit
 codes: 0 success, 1 failed checkpoint audit, 2 unreadable or malformed
 input, 3 state cap exceeded, 4 invalid mixing target, 5 rate horizon too
-small, 6 a solved cell missed its target by more than SOLVE_TOL (1e-12):
-``construct`` solves each flip probability exactly from the cell's
-piecewise-linear closed form, in O(|T| log |T|) per position for a tail law
-of |T| atoms, and audits every cell.  Output files are written atomically
-and depend only on the inputs and the seed, so reruns are byte-identical.
+small, 6 a SolveError alone, a solved cell off its target by more than
+SOLVE_TOL (1e-12): ``construct`` solves each flip probability exactly from
+the cell's piecewise-linear closed form, in O(|T| log |T|) per position for
+a tail law of |T| atoms, audits every cell and prints its trace's worst
+miss.  Output files are written atomically and depend only on the inputs
+and the seed, so reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ import numpy as np
 
 from . import fileio
 from .concentration import bounds_report
-from .construction import construct_from_target
+from .construction import SolveError, construct_from_target
 from .measures import DEFAULT_STATE_CAP, SeqSpace, StateCapExceeded, random_measure
 from .mixing import TargetInvalid, conjecture_scan, mixing_matrix, validate_target
 from .process import HorizonTooSmall, build_process, check_checkpoints
-from .products import ProductMeasure, factored_mixing_matrix, materialize
+from .products import ProductMeasure, materialize
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -30,7 +31,7 @@ EXIT_PARSE = 2
 EXIT_STATE_CAP = 3
 EXIT_BAD_TARGET = 4
 EXIT_HORIZON = 5
-EXIT_INTERNAL = 6
+EXIT_SOLVE = 6
 
 
 def _cmd_mix(args) -> int:
@@ -46,7 +47,7 @@ def _cmd_construct(args) -> int:
     fileio.write_product(args.output, pm)
     if args.trace:
         fileio.write_traces(args.trace, traces)
-    dev = float(np.max(np.abs(factored_mixing_matrix(pm).lower - h.entries)))
+    dev = max((abs(s.residual) for tr in traces for s in tr.steps), default=0.0)
     print(f"wrote {args.output}; max |achieved - target| = {dev:.3e}")
     return EXIT_OK
 
@@ -185,12 +186,12 @@ def main(argv: list[str] | None = None) -> int:
     except HorizonTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HORIZON
+    except SolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -67,16 +67,16 @@ def op_norm_2(m: np.ndarray) -> float:
 
 def samson_bound(gamma: np.ndarray, t: float) -> float:
     """Deviation bound 2 * exp(-t^2 / (2 * ||Gamma||_2^2))."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     s = op_norm_2(gamma)
     return 2.0 * math.exp(-(t * t) / (2.0 * s * s))
 
 
 def kontram_bound(delta: np.ndarray, t: float, norm_choice: str = "inf") -> float:
     """Deviation bound 2 * exp(-t^2 / (2 * ||Delta||^2)), norm selectable."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if norm_choice == "inf":
         s = op_norm_inf(delta)
     elif norm_choice == "2":

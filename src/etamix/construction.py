@@ -22,26 +22,27 @@ for r = T reversed and s = T + r, convex and linear between breakpoints
 r_b / s_b.  So v_t solves one linear equation, on the piece found by sorting
 the breakpoints, at O(|T| log |T|) with |T| <= 2^(solved positions).
 :func:`solve_row` returns the flip vector as a :class:`PureRow`, whose
-mixing matrix is closed-form too; its 2^n atoms cost one dense tilt per
-v_t != 1/2 and are built only on read.
+mixing matrix is closed-form too and is the one evaluation of a row's
+cells; its 2^n atoms cost one dense tilt per v_t != 1/2, built on read.
 :func:`pure_row_measure` (every solved position replayed as a dense tilt,
 eta_bar recorded on it) and :func:`row_objective` are the dense references.
 
-Visiting positions in ascending order (kept as order="forward" for
-demonstration) solves each cell as if the later positions were untouched, so
-it picks v_t = (1 + h_t) / 2; the later tilts then move cell (k, t) to
-TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), which is at least h_t.  So
-ascending order only ever overshoots, never undershoots, and with odds
-o_t = (1 + h_t) / (1 - h_t) cell (k, t) stays exact iff o_t >= prod_{s>t} o_s.
-When that holds for every t, both orders pick the same flip vector; the row
-(0.5, 0.5, 0.2), with odds 3, 3, 1.5, misses cell (k, k+1) by 0.075.
+Ascending order, kept only in the dense pure_row_measure(order="forward")
+for demonstration, solves each cell as if the later positions were
+untouched, so it picks v_t = (1 + h_t) / 2; the later tilts then move cell
+(k, t) to TV(prod_{s>=t} Bern(v_s), its bit-flip mirror), which is >= h_t.
+So ascending order only ever overshoots, never undershoots, and with odds
+o_t = (1 + h_t) / (1 - h_t) cell (k, t) stays exact iff
+o_t >= prod_{s>t} o_s.  When that holds for every t, both orders pick the
+same flip vector; the row (0.5, 0.5, 0.2), with odds 3, 3, 1.5, misses cell
+(k, k+1) by 0.075.
 
 Stacking one pure-row component per row k = 1..n-1 in parallel realizes any
 valid target matrix; see :func:`construct_from_target`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -264,44 +265,32 @@ def _flip_solve(tail: np.ndarray, target: float) -> float:
     return float(knots[i - 1] + w * (knots[i] - knots[i - 1]))
 
 
-def _skips_solve(row: ValidRow, t: int, backward: bool) -> bool:
-    """A flat segment in descending order: v = 1/2 is the identity tilt, and
-    the cell already equals the one achieved at t+1 (see row_objective)."""
-    return backward and t < row.n and row.target(t) == row.target(t + 1)
+def solve_row(row: ValidRow) -> tuple[PureRow, tuple[TraceStep, ...]]:
+    """Flip vector for ``row``, solved on the closed-form cell from t = n down
+    (ascending order lives only in the dense :func:`pure_row_measure`).
 
-
-def solve_row(row: ValidRow, order: str = "backward") -> tuple[PureRow, tuple[TraceStep, ...]]:
-    """Flip vector for ``row``, solved on the closed-form cell alone.
-
-    Returns the :class:`PureRow` and one step per position in visit order,
-    whose ``achieved`` is the closed-form cell.  Builds no dense measure.
-    ``order`` is as in :func:`pure_row_measure`.  Raises :class:`SolveError`
+    A target equal to the one at t+1 keeps v = 1/2, the identity tilt (see
+    :func:`row_objective`).  Returns the :class:`PureRow` and one step per
+    position in visit order, whose ``achieved`` is read from the row's own
+    :meth:`PureRow.row`.  Builds no dense measure.  Raises :class:`SolveError`
     when a cell misses its target by more than SOLVE_TOL.
     """
-    if order not in ("backward", "forward"):
-        raise ValueError(f"unknown order {order!r}")
     k, n = row.k, row.n
-    backward = order == "backward"
-    steps = []
-    # Law of the flips at the visited positions after t (none in ascending
-    # order); positions with v = 1/2 cancel in the cell and are left out.
-    tail = np.ones(1)
-    ts = range(n, k, -1) if backward else range(k + 1, n + 1)
-    for t in ts:
-        if _skips_solve(row, t, backward):
-            # the target equals the one at t+1, so the residual carries over
-            step = replace(steps[-1], t=t, v_star=0.5)
-        else:
-            target = row.target(t)
-            v = _flip_solve(tail, target)
-            achieved = _flip_cell(tail, v)
-            step = TraceStep(t, v, achieved, achieved - target)
-            if abs(step.residual) > SOLVE_TOL:
-                raise SolveError(f"cell ({k},{t}) missed its target by {step.residual:.3e}")
-            if backward and v != 0.5:
-                tail = np.kron([v, 1.0 - v], tail)
-        steps.append(step)
-    return PureRow(n, k, tuple(s.v_star for s in sorted(steps, key=lambda s: s.t))), tuple(steps)
+    vs = []
+    tail = np.ones(1)  # law of the flips after t; v = 1/2 cancels and is left out
+    for t in range(n, k, -1):
+        target = row.target(t)
+        v = 0.5 if t < n and target == row.target(t + 1) else _flip_solve(tail, target)
+        if v != 0.5:
+            tail = np.kron([v, 1.0 - v], tail)
+        vs.append(v)
+    pr = PureRow(n, k, tuple(reversed(vs)))
+    visits = zip(range(n, k, -1), vs, reversed(pr.row(n).tolist()))
+    steps = tuple(TraceStep(t, v, c, c - row.target(t)) for t, v, c in visits)
+    worst = max(steps, key=lambda s: abs(s.residual))
+    if abs(worst.residual) > SOLVE_TOL:
+        raise SolveError(f"cell ({k},{worst.t}) missed its target by {worst.residual:.3e}")
+    return pr, steps
 
 
 def pure_row_measure(
@@ -318,26 +307,33 @@ def pure_row_measure(
     tilt, and the trace records eta_bar on the tilted measure.  This is the
     dense sequential reference for :class:`PureRow`, not an engine path.
 
-    ``order="forward"`` visits positions in ascending order instead.  That
-    variant has no preservation guarantee and exists to demonstrate that the
-    descending order is essential, not as a usable constructor: it picks
-    v_t = (1 + h_t) / 2, never undershoots a cell, and realizes the row
-    exactly iff each odds o_t = (1 + h_t) / (1 - h_t) is at least the product
-    of the later odds, prod_{s>t} o_s (see the module docstring).
+    ``order="forward"``, the only place ascending order lives, tilts at
+    v_t = (1 + h_t) / 2 from t = k+1 up: what solving each cell on untouched
+    later positions picks.  It has no preservation guarantee and exists to
+    demonstrate that the descending order is essential: it never undershoots
+    a cell, and realizes the row exactly iff each odds
+    o_t = (1 + h_t) / (1 - h_t) is at least the product of the later odds,
+    prod_{s>t} o_s (see the module docstring).
     """
     if row.n != n:
         raise ValueError(f"row was built for n={row.n}, not n={n}")
-    _, solved = solve_row(row, order)
     k = row.k
+    if order == "backward":
+        ts, vs = range(n, k, -1), [s.v_star for s in solve_row(row)[1]]
+    elif order == "forward":
+        ts = range(k + 1, n + 1)
+        vs = [0.5 * (1.0 + row.target(t)) for t in ts]
+    else:
+        raise ValueError(f"unknown order {order!r}")
     mu = uniform(SeqSpace(2, n))
     iterates = [mu]
     steps = []
-    for step in solved:
-        if not _skips_solve(row, step.t, order == "backward"):
-            mu = reweight(mu, k, step.t, step.v_star)
-        achieved = eta_bar(mu, k, step.t)
-        step = replace(step, achieved=achieved, residual=achieved - row.target(step.t))
-        steps.append(step)
+    for t, v in zip(ts, vs):
+        # a flat segment keeps v = 1/2 untilted, as solve_row does
+        if order == "forward" or t == n or row.target(t) != row.target(t + 1):
+            mu = reweight(mu, k, t, v)
+        achieved = eta_bar(mu, k, t)
+        steps.append(TraceStep(t, v, achieved, achieved - row.target(t)))
         iterates.append(mu)
     trace = ConstructionTrace(k, tuple(steps))
     if return_iterates:

@@ -138,8 +138,8 @@ def _load(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
+        raise FileFormatError(f"{path} is not readable JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     if obj.get("version", READ_VERSIONS[0]) not in READ_VERSIONS:

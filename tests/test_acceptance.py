@@ -253,10 +253,11 @@ def test_criterion_9_forward_order_failure_witness():
     err = float(np.abs(fwd_cells).max())
     bwd_err = float(np.abs(mixing_matrix(bwd).entries[0, 1:] - row.h).max())
     contrast = ValidRow(4, 1, (0.8, 0.5, 0.2))
-    fwd_c = pure_row_measure(4, contrast, order="forward")[0].probs
+    fwd_c, fwd_trace = pure_row_measure(4, contrast, order="forward")
     bwd_c = pure_row_measure(4, contrast)[0].probs
-    agree = solve_row(contrast, order="forward")[0] == solve_row(contrast)[0] and bool(
-        np.all(np.abs(fwd_c - bwd_c) <= 4 * np.spacing(bwd_c))
+    fwd_v = np.array([s.v_star for s in fwd_trace.steps])
+    agree = fwd_v.tobytes() == np.array(solve_row(contrast)[0].v).tobytes() and bool(
+        np.all(np.abs(fwd_c.probs - bwd_c) <= 4 * np.spacing(bwd_c))
     )
     cells = ", ".join(
         f"(1,{t}) {e:+.1e}" for t, e in enumerate(fwd_cells, start=2)

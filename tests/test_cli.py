@@ -2,23 +2,25 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import etamix.construction as construction
-from etamix import MixingMatrix, mixing_matrix, uniform
+from etamix import MixingMatrix, factored_mixing_matrix, mixing_matrix, uniform
 from etamix.cli import main
 from etamix.fileio import (
     FORMAT_VERSION,
     atomic_write,
     read_matrix,
     read_measure,
+    read_product,
     write_matrix,
     write_measure,
 )
 
-from helpers import copy_chain
+from helpers import copy_chain, random_valid_target
 
 
 def run_cli(*args):
@@ -99,7 +101,7 @@ class TestConstructRoundTrip:
         got = read_matrix(back).entries
         assert np.abs(got - want).max() <= 1e-9
 
-        obj = json.loads(open(trace).read())
+        obj = json.loads(Path(trace).read_text())
         assert [c["k"] for c in obj["components"]] == [1, 2]
 
     def test_invalid_target_exit_code(self, tmp_path):
@@ -128,6 +130,23 @@ class TestConstructRoundTrip:
         steps = {(c["k"], s["t"]): s for c in comps for s in c["steps"]}
         assert steps[1, 3]["v_star"] == steps[2, 3]["v_star"] == 0.5
         assert max(abs(s["residual"]) for s in steps.values()) <= 1e-15
+
+    def test_reported_deviation_is_the_worst_trace_residual(self, tmp_path):
+        # construct prints the worst residual of its own trace; the dense
+        # matrix of the product read back from disk is the independent check
+        h = random_valid_target(8, np.random.default_rng(8)).entries.copy()
+        h[1, 3:5] = h[1, 2]  # cells (2, 3..5) tie: the steps at t = 4, 3 keep v = 1/2
+        target, pm, trace = (str(tmp_path / f) for f in ("h.json", "pm.json", "trace.json"))
+        write_matrix(target, MixingMatrix(h))
+        r = run_cli("construct", target, "-o", pm, "--trace", trace)
+        assert r.returncode == 0, r.stderr
+        comps = json.loads(Path(trace).read_text())["components"]
+        steps = {(c["k"], s["t"]): s for c in comps for s in c["steps"]}
+        assert steps[2, 3]["v_star"] == steps[2, 4]["v_star"] == 0.5
+        worst = max(abs(s["residual"]) for s in steps.values())
+        assert r.stdout.rstrip().endswith(f"max |achieved - target| = {worst:.3e}")
+        fm = factored_mixing_matrix(read_product(pm))
+        assert fm.is_exact() and np.abs(fm.lower - h).max() <= 1e-9
 
     def test_solver_failure_exit_code(self, tmp_path, target_file, monkeypatch, capsys):
         # a wrong flip probability: the audit in solve_row catches the miss
@@ -199,10 +218,19 @@ class TestBounds:
             out = str(tmp_path / "b.json")
             r = run_cli("bounds", path, "--t", "1.0", "-o", out)
             assert r.returncode == 0, r.stderr
-            obj = json.loads(open(out).read())
+            obj = json.loads(Path(out).read_text())
             assert obj["version"] == FORMAT_VERSION
             assert 0.0 < obj["samson"] < 2.0
             assert obj["norm_inf"] == norm_inf
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_t_exit_code(self, tmp_path, target_file, t, capsys):
+        # nan and inf used to exit 0 and write "t": nan, which is not JSON
+        out = tmp_path / "b.json"
+        assert main(["bounds", target_file, f"--t={t}", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+        assert not out.exists()
 
 
 class TestRate:
@@ -219,7 +247,7 @@ class TestRate:
         out = str(tmp_path / "cp.csv")
         r = run_cli("rate", spec, "-o", out)
         assert r.returncode == 0, r.stderr
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[1] == "k,eps_k,n_k,h_k,ratio,pass"
         assert all(line.endswith(",true") for line in lines[2:])
 
@@ -274,7 +302,7 @@ class TestRate:
         r = run_cli("rate", spec, "-o", out)
         assert r.returncode == 0, r.stderr
         assert "7/7 checkpoints pass" in r.stdout
-        last = open(out).read().splitlines()[-1].split(",")
+        last = Path(out).read_text().splitlines()[-1].split(",")
         assert (last[0], last[2], last[-1]) == ("7", "56", "true")
 
     def test_linear_rate_horizon_fix_past_the_state_cap(self, tmp_path):
@@ -312,7 +340,7 @@ class TestRate:
         r = run_cli("rate", spec, "-o", out)
         assert r.returncode == 0, r.stderr
         assert "100/100 checkpoints pass" in r.stdout
-        rows = [line.split(",") for line in open(out).read().splitlines()[2:]]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()[2:]]
 
         def n_k(k):
             n = k * (k + 1)
@@ -365,13 +393,13 @@ class TestScan:
         for out in (a, b):
             r = run_cli("scan", "--count", "5", "--n", "3", "--seed", "7", "-o", out)
             assert r.returncode == 0, r.stderr
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_row_count(self, tmp_path):
         out = str(tmp_path / "s.csv")
         r = run_cli("scan", "--count", "4", "--n", "2", "--seed", "1", "-o", out)
         assert r.returncode == 0
-        assert len(open(out).read().splitlines()) == 6  # comment + header + 4 rows
+        assert len(Path(out).read_text().splitlines()) == 6  # comment + header + 4 rows
 
     def test_bad_count_exit_code(self, tmp_path):
         r = run_cli("scan", "--count", "0", "-o", str(tmp_path / "s.csv"))

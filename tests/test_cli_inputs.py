@@ -4,7 +4,8 @@ code and at most one error line, never a traceback.
 Each example takes a valid process spec, matrix file or measure file,
 replaces one field (any key or list element, at any depth) with null, a
 string, a bool, a nested list, a negative number or a huge number, and runs
-``etamix.cli.main`` in-process on it.
+``etamix.cli.main`` in-process on it.  A field nested 200,000 lists deep
+must exit 2 as well.
 """
 import contextlib
 import copy
@@ -63,12 +64,14 @@ def _mutated(docs):
     return draw()
 
 
-def _run(command: str, doc: dict) -> int:
+def _run(command: str, doc) -> int:
+    """Exit code of ``command`` on ``doc``, a JSON value or the input file's text."""
     with tempfile.TemporaryDirectory() as d:
         src = os.path.join(d, "input.json")
         with open(src, "w") as fh:
-            json.dump(doc, fh)
-        argv = [command, src] + ([] if command == "validate" else ["-o", os.path.join(d, "out")])
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [command, src] + (["--t", "1.0"] if command == "bounds" else [])
+        argv += [] if command == "validate" else ["-o", os.path.join(d, "out")]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -117,3 +120,20 @@ class TestVersionTag:
     def test_unknown_version_exit_code(self, command, doc, version):
         # one stderr line, checked by _run
         assert _run(command, dict(doc, version=version)) == 2
+
+
+#: Each reading subcommand, with an input and the field to nest.
+NESTED = {"mix": (MEASURE, "probs"), "product": (PRODUCT, "components"),
+          "construct": (MATRIX, "entries"), "bounds": (MATRIX, "entries"),
+          "validate": (MATRIX, "entries"), "rate": (SPECS[0], "eps")}
+
+
+class TestDeepNesting:
+    # the decoder's RecursionError used to exit 6, the code for a missed target
+    @pytest.mark.parametrize("command", sorted(NESTED))
+    def test_exit_code(self, command):
+        doc, key = NESTED[command]
+        deep = "[" * 200_000 + "]" * 200_000
+        text = json.dumps(dict(doc, **{key: None})).replace(f'"{key}": null', f'"{key}": {deep}')
+        assert deep in text
+        assert _run(command, text) == 2

@@ -301,9 +301,10 @@ class TestVisitOrder:
         # flip vector bit for bit, and their dense replays, which tilt in
         # opposite orders, agree to rounding.
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
-        assert solve_row(row, order="forward")[0] == solve_row(row)[0]
+        fwd, fwd_trace = pure_row_measure(4, row, order="forward")
+        fwd_v = np.array([s.v_star for s in fwd_trace.steps])
+        assert fwd_v.tobytes() == np.array(solve_row(row)[0].v).tobytes()
         assert solve_row(row)[0].v == (0.9, 0.75, 0.6)
-        fwd, _ = pure_row_measure(4, row, order="forward")
         bwd, _ = pure_row_measure(4, row)
         assert np.all(np.abs(fwd.probs - bwd.probs) <= 4 * np.spacing(bwd.probs))
 
@@ -337,7 +338,7 @@ class TestClosedFormCell:
     def test_measure_is_the_replayed_reweight_chain(self, order, n, k, h):
         row = ValidRow(n, k, h)
         mu, trace = pure_row_measure(n, row, order=order)
-        _, closed = solve_row(row, order=order)
+        closed = solve_row(row)[1] if order == "backward" else trace.steps
         replay = uniform(2, n)
         for step, solved in zip(trace.steps, closed):
             t = step.t
@@ -347,11 +348,15 @@ class TestClosedFormCell:
                 replay = reweight(replay, k, t, step.v_star)
             assert step.achieved == eta_bar(replay, k, t)
             assert step.residual == step.achieved - row.target(t)
-            # the closed-form cell the solve recorded is the dense eta_bar
-            assert abs(solved.achieved - step.achieved) <= 1e-12
-            assert solved.residual == solved.achieved - row.target(t)
             if order == "backward":
+                # the closed-form cell the solve recorded is the dense eta_bar
+                assert abs(solved.achieved - step.achieved) <= 1e-12
+                assert solved.residual == solved.achieved - row.target(t)
                 assert abs(solved.residual) <= construction.SOLVE_TOL
+            else:
+                # ascending order solves each cell on untouched later positions
+                cell = construction._flip_cell(np.ones(1), step.v_star)
+                assert abs(cell - step.achieved) <= 1e-12
         assert np.array_equal(mu.probs, replay.probs)
 
     @pytest.mark.parametrize(
@@ -429,8 +434,6 @@ class TestPureRow:
             PureRow(3, 1, (0.5, 0.5)).row(4)
         with pytest.raises(ValueError):
             PureRow(3, 1, (0.5, 0.5)).row(0)
-        with pytest.raises(ValueError):
-            solve_row(ValidRow(3, 1, (0.5, 0.2)), order="sideways")
 
 
 class TestRealizesRandomTargets:
