@@ -8,7 +8,6 @@ from .measures import (
     DEFAULT_STATE_CAP,
     FiniteMeasure,
     SeqSpace,
-    SignedVector,
     StateCapExceeded,
     ZeroProbabilityPrefix,
     conditional,
@@ -25,7 +24,6 @@ from .mixing import (
     PhiVector,
     TargetInvalid,
     Violation,
-    check_monotonicity,
     check_samson_inequality,
     conjecture_scan,
     eta,
@@ -40,7 +38,6 @@ from .products import (
     ProductMeasure,
     factored_mixing_matrix,
     materialize,
-    parallel_product,
     series_product,
 )
 from .construction import (
@@ -65,7 +62,6 @@ from .process import (
     build_process,
     check_checkpoints,
     delta_matrix,
-    find_nk,
     rate_R,
     validate_rate,
 )

@@ -43,6 +43,8 @@ def _cmd_mix(args) -> int:
 
 def _cmd_construct(args) -> int:
     h = fileio.read_matrix(args.matrix)
+    # the product file holds 2^n atoms per component: refuse past the cap before solving
+    SeqSpace(2, h.n)
     pm, traces = construct_from_target(h)
     fileio.write_product(args.output, pm)
     if args.trace:

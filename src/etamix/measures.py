@@ -121,17 +121,6 @@ class FiniteMeasure:
         return self.probs.reshape((self.space.q,) * self.space.n)
 
 
-@dataclass(frozen=True, eq=False)
-class SignedVector:
-    """Plain real vector (any sign) that can stand in for a measure in
-    total-variation arithmetic, e.g. differences of measures."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.values))
-
-
 def _as_space(space: SeqSpace | int, n: int | None) -> SeqSpace:
     if isinstance(space, SeqSpace):
         if n is not None:
@@ -176,15 +165,13 @@ def random_measure(
 def _as_vector(x) -> np.ndarray:
     if isinstance(x, FiniteMeasure):
         return x.probs
-    if isinstance(x, SignedVector):
-        return x.values
     return np.asarray(x, dtype=np.float64)
 
 
 def tv_distance(p, r) -> float:
     """Total variation distance, half the l1 distance of the atom vectors.
 
-    Accepts measures, signed vectors, or raw arrays of equal dimension.
+    Accepts measures or raw arrays (of any sign) of equal dimension.
     """
     pv, rv = _as_vector(p), _as_vector(r)
     if pv.shape != rv.shape:

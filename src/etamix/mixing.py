@@ -209,17 +209,6 @@ def validate_target(h: MixingMatrix, tol: float = 0.0) -> list[Violation]:
     return out
 
 
-def check_monotonicity(mu: FiniteMeasure, tol: float = 1e-12) -> bool:
-    """True when every realized row is nonincreasing to the right within tol."""
-    e = mixing_matrix(mu).entries
-    n = mu.n
-    for i in range(n - 1):
-        row = e[i, i + 1 : n]
-        if np.any(np.diff(row) > tol):
-            return False
-    return True
-
-
 def phi(mu: FiniteMeasure, g: int) -> float:
     """Uniform-mixing coefficient at gap g >= 1.
 

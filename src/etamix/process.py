@@ -3,7 +3,7 @@
 The mixing rate of a measure at horizon n is R(n) = the max row sum of the
 unit-diagonal coefficient matrix Delta_n = I + [eta_bar of the length-n
 prefix].  Given a valid rate r (integer, nondecreasing, 1 <= r(n) <= n), we
-build one pure-row component per checkpoint k: the scan find_nk picks the
+build one pure-row component per checkpoint k: build_process picks the
 smallest horizon n_k and a constant row value h_k with
 
     1 - eps_k  <=  h_k * (n_k - k) / r(n_k)  <=  1,
@@ -11,8 +11,10 @@ smallest horizon n_k and a constant row value h_k with
 and component k is the pure row-k measure on {0,1}^(n_k) with constant row
 h_k.  One flip realizes a constant row: with v_{n_k} = (1 + h_k) / 2 and
 v_t = 1/2 for k < t < n_k, every cell (k, t) is |2 v_{n_k} - 1| = h_k, which
-is what the row solve finds.  find_nk always returns h_k = 1 (see its
-docstring), so component k is the copy X_{n_k} = X_k over iid fair bits.
+is what the row solve finds.  h_k is always 1 (see build_process), so
+component k is the copy X_{n_k} = X_k over iid fair bits.  The horizons are
+nondecreasing in k, so one forward scan over n finds them all and the build
+costs O(n_max + k_max).
 Each component is kept in that flip-vector form
 (:class:`~etamix.construction.PureRow`), whose prefix matrices are closed
 form: cell (k, t) of the length-m prefix is TV(prod_{t<=s<=m} Bern(v_s), its
@@ -105,7 +107,7 @@ def validate_rate(r: RateFunction) -> list[str]:
 
 
 def _admits(rn: int, n: int, k: int, eps: float) -> bool:
-    """find_nk's test: h (n - k) / r(n) = min(r(n), n - k) / r(n) >= 1 - eps."""
+    """n admits checkpoint k: h (n - k) / r(n) = min(r(n), n - k) / r(n) >= 1 - eps."""
     return 1.0 - eps <= min(rn, n - k) / rn
 
 
@@ -119,29 +121,6 @@ def _horizon_bound(k: int, eps: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if _admits(mid, mid, k, eps) else (mid, hi)
     return hi
-
-
-def find_nk(r: RateFunction, k: int, eps: float) -> tuple[int, float]:
-    """Smallest horizon n and constant row value h admitting checkpoint k.
-
-    Scans n = k+1, k+2, ... for h = min(1, r(n) / (n - k)) whose ratio
-    h * (n - k) / r(n) lands in [1 - eps, 1].  A failed scan reports
-    :func:`_horizon_bound` as the horizon fix.
-
-    The returned h is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the
-    first horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
-    nondecreasing, so r(n-1) = n-1-k: horizon n-1 has ratio exactly 1 and
-    the scan stops there first.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    for n in range(k + 1, r.n_max + 1):
-        rn = r(n)
-        if _admits(rn, n, k, eps):
-            return n, min(1.0, rn / (n - k))
-    raise HorizonTooSmall(k, eps, r.n_max, _horizon_bound(k, eps))
 
 
 @dataclass(frozen=True)
@@ -184,7 +163,21 @@ def build_process(
     """Assemble a process whose rate tracks r at k_max checkpoints.
 
     ``eps`` defaults to (1/2, 1/3, ..., 1/(k_max+1)) and must be strictly
-    decreasing within (0, 1).
+    decreasing within (0, 1).  Checkpoint k takes the smallest horizon
+    n_k > k with h_k * (n_k - k) / r(n_k) in [1 - eps_k, 1] for
+    h_k = min(1, r(n_k) / (n_k - k)); a checkpoint no horizon <= n_max
+    admits raises :class:`HorizonTooSmall`, naming :func:`_horizon_bound`
+    for the last checkpoint as the fix.
+
+    One forward scan finds every n_k.  If n admits k it admits k - 1:
+    min(r, n - k + 1) / r >= min(r, n - k) / r, and 1 - eps_{k-1} <=
+    1 - eps_k after rounding.  So n_k >= n_{k-1}, and the scan for k
+    resumes at max(n_{k-1}, k + 1): O(n_max + k_max) steps in all.
+
+    h_k is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the first
+    horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
+    nondecreasing, so r(n-1) = n-1-k: horizon n-1 has ratio exactly 1 and
+    admits k first.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -194,7 +187,8 @@ def build_process(
         raise ValueError(f"rate table covers 1..{r.n_max}, need 1..{n_max}")
     bad = validate_rate(r)
     if bad:
-        raise ValueError("invalid rate: " + "; ".join(bad))
+        more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
+        raise ValueError("invalid rate: " + "; ".join(bad[:8]) + more)
     if eps is None:
         # checkpoint k needs a horizon n_k > k, so the loop below stops by
         # k = n_max at the latest
@@ -209,16 +203,18 @@ def build_process(
 
     checkpoints = []
     components = []
-    sub = RateFunction(r.values[:n_max])
+    n = 1
     for k, e in enumerate(eps, start=1):
-        try:
-            n_k, h_k = find_nk(sub, k, e)
-        except HorizonTooSmall:
+        n = max(n, k + 1)
+        while n <= n_max and not _admits(r.values[n - 1], n, k, e):
+            n += 1
+        if n > n_max:
             # the bound grows with k and as eps falls: a rerun's last checkpoint needs the most
             last = eps[-1] if len(eps) == k_max else 1 / (k_max + 1)
-            raise HorizonTooSmall(k, e, n_max, _horizon_bound(k_max, last)) from None
-        checkpoints.append(Checkpoint(k, e, n_k, h_k))
-        components.append(_constant_row(n_k, k, h_k))
+            raise HorizonTooSmall(k, e, n_max, _horizon_bound(k_max, last))
+        h = min(1.0, r.values[n - 1] / (n - k))
+        checkpoints.append(Checkpoint(k, e, n, h))
+        components.append(_constant_row(n, k, h))
     return TruncatedProcess(r, n_max, tuple(checkpoints), tuple(components))
 
 

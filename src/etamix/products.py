@@ -63,11 +63,6 @@ def series_product(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(space, np.outer(mu.probs, nu.probs).ravel())
 
 
-def parallel_product(mu: FiniteMeasure, nu: FiniteMeasure) -> ProductMeasure:
-    """Two equal-length measures run side by side, kept factored."""
-    return ProductMeasure((mu, nu))
-
-
 def materialize(pm: ProductMeasure, state_cap: int | None = None) -> FiniteMeasure:
     """Dense joint measure of a parallel product on the packed alphabet.
 

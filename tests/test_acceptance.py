@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from etamix import (
+    ProductMeasure,
     RateFunction,
     ValidRow,
     build_process,
@@ -25,7 +26,6 @@ from etamix import (
     materialize,
     mixing_matrix,
     op_norm_2,
-    parallel_product,
     pure_row_measure,
     rate_R,
     row_objective,
@@ -138,8 +138,8 @@ def test_criterion_4_parallel_sandwich():
     rng = np.random.default_rng(77001)
     worst_out = 0.0
     for _ in range(100):
-        pm = parallel_product(
-            random_full_support(2, 3, rng), random_full_support(2, 3, rng)
+        pm = ProductMeasure(
+            (random_full_support(2, 3, rng), random_full_support(2, 3, rng))
         )
         fm = factored_mixing_matrix(pm)
         truth = mixing_matrix(materialize(pm)).entries
@@ -155,7 +155,7 @@ def test_criterion_4_parallel_sandwich():
         rows = np.sort(rng.uniform(0.0, 1.0, size=2))[::-1]
         mu1, _ = pure_row_measure(3, ValidRow(3, 1, tuple(rows)))
         mu2, _ = pure_row_measure(3, ValidRow(3, 2, (float(rng.uniform()),)))
-        pm = parallel_product(mu1, mu2)
+        pm = ProductMeasure((mu1, mu2))
         fm = factored_mixing_matrix(pm)
         truth = mixing_matrix(materialize(pm)).entries
         worst_eq = max(

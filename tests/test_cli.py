@@ -157,6 +157,20 @@ class TestConstructRoundTrip:
         assert err.count("\n") == 1 and "missed its target" in err
         assert not pm.exists()
 
+    def test_state_cap_refused_before_solving(self, tmp_path, monkeypatch, capsys):
+        # the product file needs 2^25 atoms per component: exit 3 at once,
+        # not after a solve whose tail laws grow toward 2^24 atoms
+        def refuse(row):
+            raise AssertionError("solve_row called on a target past the state cap")
+
+        monkeypatch.setattr(construction, "solve_row", refuse)
+        target, pm = str(tmp_path / "h.json"), tmp_path / "pm.json"
+        write_matrix(target, MixingMatrix.zeros(25))
+        assert main(["construct", target, "-o", str(pm)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2**25 exceeds the state cap" in err
+        assert not pm.exists()
+
 
 class TestProduct:
     def test_multiple_measure_files(self, tmp_path):
@@ -289,6 +303,19 @@ class TestRate:
         assert main(["rate", self._spec(tmp_path, obj), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be an integer" in err
+        assert not out.exists()
+
+    def test_invalid_rate_table_message_stays_short(self, tmp_path, capsys):
+        # one message per bad entry used to make a 637,808-byte stderr line
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "table", "values": [0] * 20000}, "k_max": 1, "n_max": 20000},
+        )
+        out = tmp_path / "cp.csv"
+        assert main(["rate", spec, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 400
+        assert err.rstrip().endswith("(+19992 more)")
         assert not out.exists()
 
     def test_linear_rate_beyond_the_dense_state_cap(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from etamix import (
     MixingMatrix,
+    ProductMeasure,
     RateFunction,
     SeqSpace,
     StateCapExceeded,
@@ -15,7 +16,6 @@ from etamix import (
     build_process,
     conjecture_scan,
     from_weights,
-    parallel_product,
     pure_row_measure,
     random_measure,
     uniform,
@@ -188,7 +188,7 @@ class TestProductRoundTrip:
     def test_components_survive(self, tmp_path):
         mu1, _ = pure_row_measure(3, ValidRow(3, 1, (0.8, 0.3)))
         mu2, _ = pure_row_measure(3, ValidRow(3, 2, (0.6,)))
-        pm = parallel_product(mu1, mu2)
+        pm = ProductMeasure((mu1, mu2))
         p = str(tmp_path / "pm.json")
         write_product(p, pm)
         back = read_product(p)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from etamix import (
     FiniteMeasure,
     SeqSpace,
-    SignedVector,
     StateCapExceeded,
     ZeroProbabilityPrefix,
     conditional,
@@ -115,8 +114,9 @@ class TestTvDistance:
         assert tv_distance(a, b) == 0.5
 
     def test_accepts_signed_vectors_and_arrays(self):
-        v = SignedVector(np.array([0.2, 0.8]))
-        assert tv_distance(v, np.array([0.8, 0.2])) == pytest.approx(0.6)
+        assert tv_distance(np.array([0.2, 0.8]), np.array([0.8, 0.2])) == pytest.approx(0.6)
+        # a difference of measures has entries of either sign
+        assert tv_distance(np.array([0.3, -0.3]), np.zeros(2)) == pytest.approx(0.3)
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),

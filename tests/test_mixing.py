@@ -7,7 +7,6 @@ from etamix import (
     MixingMatrix,
     SeqSpace,
     ZeroProbabilityPrefix,
-    check_monotonicity,
     check_samson_inequality,
     conjecture_scan,
     eta,
@@ -148,7 +147,6 @@ class TestMixingMatrix:
             mu = random_full_support(2, 4, rng)
             h = mixing_matrix(mu)
             assert validate_target(h, tol=1e-12) == []
-            assert check_monotonicity(mu)
 
     def test_performance_budget(self):
         import time

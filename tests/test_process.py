@@ -3,11 +3,13 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etamix.measures as measures
+import etamix.process as process_module
 from etamix import (
+    Checkpoint,
     HorizonTooSmall,
     PureRow,
     RateFunction,
@@ -15,7 +17,6 @@ from etamix import (
     build_process,
     check_checkpoints,
     delta_matrix,
-    find_nk,
     mixing_matrix,
     rate_R,
     series_product,
@@ -65,52 +66,81 @@ class TestRateFunction:
         assert any("r(3)" in m for m in msgs)
 
 
-class TestFindNk:
+def _first_horizon(values, k, eps):
+    """Checkpoint k's horizon by definition: the least n > k at which
+    h = min(1, r(n) / (n - k)) puts h (n - k) / r(n) in [1 - eps, 1]."""
+    for n in range(k + 1, len(values) + 1):
+        rn = values[n - 1]
+        h = min(1.0, rn / (n - k))
+        if 1.0 - eps <= h * (n - k) / rn <= 1.0:
+            return n
+    return None
+
+
+class TestBuildProcess:
     def test_constant_one_rate(self):
-        assert find_nk(RateFunction.constant(1, 12), 1, 0.5) == (2, 1.0)
+        p = build_process(RateFunction.constant(1, 12), k_max=1, n_max=12, eps=(0.5,))
+        assert p.checkpoints == (Checkpoint(1, 0.5, 2, 1.0),)
 
     def test_linear_rate_boundary_ratio(self):
         # At n = 2 the ratio is exactly 1 - eps, which is admissible.
-        assert find_nk(RateFunction.linear(12), 1, 0.5) == (2, 1.0)
+        p = build_process(RateFunction.linear(12), k_max=1, n_max=12, eps=(0.5,))
+        assert p.checkpoints == (Checkpoint(1, 0.5, 2, 1.0),)
 
     def test_sqrt_rate_skips_tight_horizon(self):
-        assert find_nk(RateFunction.sqrt(12), 2, 0.25) == (4, 1.0)
+        p = build_process(RateFunction.sqrt(12), k_max=2, n_max=12, eps=(0.5, 0.25))
+        assert p.checkpoints[1] == Checkpoint(2, 0.25, 4, 1.0)
 
     def test_horizon_too_small_reports_fix(self):
         with pytest.raises(HorizonTooSmall) as exc:
-            find_nk(RateFunction.linear(6), 2, 0.25)
-        assert exc.value.required_n_max == 8
-        n, h = find_nk(RateFunction.linear(8), 2, 0.25)
-        assert (n, h) == (8, 1.0)
+            build_process(RateFunction.linear(6), k_max=2, n_max=6, eps=(0.5, 0.25))
+        assert (exc.value.k, exc.value.required_n_max) == (2, 8)
+        p = build_process(RateFunction.linear(8), k_max=2, n_max=8, eps=(0.5, 0.25))
+        assert p.checkpoints[1] == Checkpoint(2, 0.25, 8, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_accepted_row_value_is_one(self, data):
-        # The closed-form components rely on this: a horizon with
-        # r(n) < n - k is always preceded by one with ratio exactly 1.
+        # The closed-form components rely on h = 1, and the one forward scan
+        # must land where a fresh scan from k + 1 lands for every checkpoint.
         n_max = data.draw(st.integers(2, 40))
         values = [1]
         for n in range(2, n_max + 1):
             values.append(data.draw(st.integers(values[-1], n)))
-        k = data.draw(st.integers(1, n_max - 1))
-        eps = data.draw(st.floats(1e-3, 0.999))
+        k_max = data.draw(st.integers(1, n_max - 1))
+        eps = data.draw(st.lists(st.floats(1e-3, 0.999), min_size=k_max,
+                                 max_size=k_max, unique=True))
+        eps = tuple(sorted(eps, reverse=True))
+        r = RateFunction(tuple(values))
         try:
-            _, h = find_nk(RateFunction(tuple(values)), k, eps)
-        except HorizonTooSmall:
-            assume(False)
-        assert h == 1.0
+            checkpoints = build_process(r, k_max, n_max, eps).checkpoints
+        except HorizonTooSmall as exc:
+            assert _first_horizon(values, exc.k, eps[exc.k - 1]) is None
+            k_max = exc.k - 1
+            checkpoints = ()
+            if k_max:
+                checkpoints = build_process(r, k_max, n_max, eps[:k_max]).checkpoints
+        assert [cp.n for cp in checkpoints] == [
+            _first_horizon(values, k, e) for k, e in enumerate(eps[:k_max], start=1)
+        ]
+        assert all(cp.h == 1.0 for cp in checkpoints)
 
-    def test_input_validation(self):
-        r = RateFunction.sqrt(10)
-        with pytest.raises(ValueError):
-            find_nk(r, 0, 0.5)
-        with pytest.raises(ValueError):
-            find_nk(r, 1, 0.0)
-        with pytest.raises(ValueError):
-            find_nk(r, 1, 1.0)
+    def test_scan_resumes_at_the_last_horizon(self, monkeypatch):
+        # one forward pass: a restart at k + 1 per checkpoint would test
+        # sum(n_k - k) ~ 338,000 horizons here
+        calls = 0
+        admits = process_module._admits
 
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return admits(*args)
 
-class TestBuildProcess:
+        monkeypatch.setattr(process_module, "_admits", counted)
+        p = build_process(RateFunction.linear(10100), k_max=100, n_max=10100)
+        assert p.checkpoints[-1].n == 10100
+        assert calls <= 10100 + 100
+
     def test_sqrt_instance_checkpoints(self):
         p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
         assert tuple(cp.n for cp in p.checkpoints) == (2, 4, 6, 7, 8)
@@ -169,6 +199,9 @@ class TestBuildProcess:
             build_process(r, k_max=2, n_max=12, eps=(0.5, 0.5))
         with pytest.raises(ValueError):
             build_process(r, k_max=2, n_max=12, eps=(0.5, 1.5))
+        for e in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                build_process(r, k_max=1, n_max=12, eps=(e,))
 
     def test_builds_no_dense_measure(self, monkeypatch):
         # the benchmark's linear spec: components at n_k = 2, 7, 12, 20

@@ -10,7 +10,6 @@ from etamix import (
     from_weights,
     materialize,
     mixing_matrix,
-    parallel_product,
     pure_row_measure,
     series_product,
     uniform,
@@ -70,7 +69,7 @@ class TestSeriesProduct:
 
 class TestParallelProduct:
     def test_uniform_components_materialize_uniform(self):
-        pm = parallel_product(uniform(2, 2), uniform(2, 2))
+        pm = ProductMeasure((uniform(2, 2), uniform(2, 2)))
         joint = materialize(pm)
         assert joint.q == 4 and joint.n == 2
         assert np.allclose(joint.probs, np.full(16, 1.0 / 16.0))
@@ -79,7 +78,7 @@ class TestParallelProduct:
         # Point masses: component one fixed at symbol 1, component two at 0.
         a = from_weights(SeqSpace(2, 1), [0.0, 1.0])
         b = from_weights(SeqSpace(2, 1), [1.0, 0.0])
-        joint = materialize(parallel_product(a, b))
+        joint = materialize(ProductMeasure((a, b)))
         assert joint.prob((2,)) == 1.0  # packed symbol = 1 * 2 + 0
 
     def test_three_components(self):
@@ -108,7 +107,7 @@ class TestParallelProduct:
         rng = np.random.default_rng(8)
         a = random_full_support(2, 2, rng)
         b = random_full_support(2, 2, rng)
-        joint = materialize(parallel_product(a, b))
+        joint = materialize(ProductMeasure((a, b)))
         # Sequence ((1,0) packed, (0,1) packed) = (2, 1).
         assert joint.prob((2, 1)) == pytest.approx(
             a.prob((1, 0)) * b.prob((0, 1)), abs=1e-15
@@ -119,8 +118,8 @@ class TestFactoredMixing:
     def test_sandwich_brackets_truth(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
-            pm = parallel_product(
-                random_full_support(2, 3, rng), random_full_support(2, 3, rng)
+            pm = ProductMeasure(
+                (random_full_support(2, 3, rng), random_full_support(2, 3, rng))
             )
             fm = factored_mixing_matrix(pm)
             truth = mixing_matrix(materialize(pm)).entries
@@ -130,7 +129,7 @@ class TestFactoredMixing:
     def test_disjoint_rows_collapse_to_equality(self):
         mu1, _ = pure_row_measure(3, ValidRow(3, 1, (0.8, 0.3)))
         mu2, _ = pure_row_measure(3, ValidRow(3, 2, (0.6,)))
-        pm = parallel_product(mu1, mu2)
+        pm = ProductMeasure((mu1, mu2))
         fm = factored_mixing_matrix(pm)
         assert fm.width <= 1e-12
         assert fm.is_exact()
@@ -140,7 +139,7 @@ class TestFactoredMixing:
     def test_overlapping_rows_are_not_exact(self):
         mu1, _ = pure_row_measure(2, ValidRow(2, 1, (0.6,)))
         mu2, _ = pure_row_measure(2, ValidRow(2, 1, (0.5,)))
-        fm = factored_mixing_matrix(parallel_product(mu1, mu2))
+        fm = factored_mixing_matrix(ProductMeasure((mu1, mu2)))
         assert not fm.is_exact()
         with pytest.raises(ValueError):
             fm.exact()
@@ -148,7 +147,7 @@ class TestFactoredMixing:
     def test_upper_clipped_at_one(self):
         mu1, _ = pure_row_measure(2, ValidRow(2, 1, (0.9,)))
         mu2, _ = pure_row_measure(2, ValidRow(2, 1, (0.8,)))
-        fm = factored_mixing_matrix(parallel_product(mu1, mu2))
+        fm = factored_mixing_matrix(ProductMeasure((mu1, mu2)))
         assert fm.upper[0, 1] == 1.0
 
     def test_single_component_is_exact(self):
