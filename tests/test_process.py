@@ -77,6 +77,18 @@ def _first_horizon(values, k, eps):
     return None
 
 
+class TestFindNk:
+    """The horizon scan that finds each checkpoint's n_k, seen through build_process."""
+
+    def test_input_validation(self):
+        r = RateFunction.sqrt(10)
+        with pytest.raises(ValueError):
+            build_process(r, k_max=0, n_max=10)
+        for e in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                build_process(r, k_max=1, n_max=10, eps=(e,))
+
+
 class TestBuildProcess:
     def test_constant_one_rate(self):
         p = build_process(RateFunction.constant(1, 12), k_max=1, n_max=12, eps=(0.5,))
@@ -199,9 +211,6 @@ class TestBuildProcess:
             build_process(r, k_max=2, n_max=12, eps=(0.5, 0.5))
         with pytest.raises(ValueError):
             build_process(r, k_max=2, n_max=12, eps=(0.5, 1.5))
-        for e in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                build_process(r, k_max=1, n_max=12, eps=(e,))
 
     def test_builds_no_dense_measure(self, monkeypatch):
         # the benchmark's linear spec: components at n_k = 2, 7, 12, 20
