@@ -13,7 +13,6 @@ from .measures import (
     conditional,
     from_weights,
     marginal,
-    prefix_prob,
     random_measure,
     tv_distance,
     uniform,
@@ -21,7 +20,6 @@ from .measures import (
 from .mixing import (
     ConjectureRow,
     MixingMatrix,
-    PhiVector,
     TargetInvalid,
     Violation,
     check_samson_inequality,
@@ -50,7 +48,6 @@ from .construction import (
     construct_from_target,
     pure_row_measure,
     reweight,
-    row_objective,
     solve_row,
 )
 from .process import (
@@ -66,7 +63,6 @@ from .process import (
     validate_rate,
 )
 from .concentration import (
-    CouplingMatrices,
     bounds_report,
     coupling_matrices,
     kontram_bound,

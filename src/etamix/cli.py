@@ -2,13 +2,14 @@
 
 Subcommands: mix, construct, rate, bounds, validate, product, scan.  Exit
 codes: 0 success, 1 failed checkpoint audit, 2 unreadable or malformed
-input, 3 state cap exceeded, 4 invalid mixing target, 5 rate horizon too
-small, 6 a SolveError alone, a solved cell off its target by more than
-SOLVE_TOL (1e-12): ``construct`` solves each flip probability exactly from
-the cell's piecewise-linear closed form, in O(|T| log |T|) per position for
-a tail law of |T| atoms, audits every cell and prints its trace's worst
-miss.  Output files are written atomically and depend only on the inputs
-and the seed, so reruns are byte-identical.
+input or an output that cannot be written, 3 state cap exceeded, 4 invalid
+mixing target, 5 rate horizon too small, 6 a SolveError alone, a solved
+cell off its target by more than SOLVE_TOL (1e-12): ``construct`` solves
+each flip probability exactly from the cell's piecewise-linear closed form,
+in O(|T| log |T|) per position for a tail law of |T| atoms, audits every
+cell and prints its trace's worst miss.  Output files are written
+atomically and depend only on the inputs and the seed, so reruns are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_product(args) -> int:
     if len(args.measures) == 1:
-        pm = fileio.read_product_or_measure(args.measures[0], state_cap=args.state_cap)
+        pm = fileio.read_product(args.measures[0], state_cap=args.state_cap)
     else:
         comps = tuple(
             fileio.read_measure(p, state_cap=args.state_cap) for p in args.measures

@@ -14,28 +14,16 @@ the largest singular value from numpy's LAPACK-backed ``norm(m, 2)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _frozen
 from .mixing import MixingMatrix, TargetInvalid, validate_target
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrices:
-    """Unit-diagonal dependency matrices derived from a mixing matrix."""
 
-    gamma: np.ndarray  # I + entrywise sqrt of the coefficients
-    delta: np.ndarray  # I + the coefficients
-
-    def __post_init__(self) -> None:
-        for name in ("gamma", "delta"):
-            v = np.array(getattr(self, name), dtype=np.float64)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-def coupling_matrices(h: MixingMatrix) -> CouplingMatrices:
-    """Build Gamma and Delta from a mixing matrix.
+def coupling_matrices(h: MixingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Gamma, Delta) of a mixing matrix H: I + entrywise sqrt(H)
+    and I + H.
 
     Requires zeros on and below the diagonal and entries in [0, 1]; row
     monotonicity is not needed here and is not enforced.
@@ -44,7 +32,7 @@ def coupling_matrices(h: MixingMatrix) -> CouplingMatrices:
     if violations:
         raise TargetInvalid(violations)
     eye = np.eye(h.n)
-    return CouplingMatrices(eye + np.sqrt(h.entries), eye + h.entries)
+    return _frozen(eye + np.sqrt(h.entries)), _frozen(eye + h.entries)
 
 
 def op_norm_inf(m: np.ndarray) -> float:
@@ -65,25 +53,27 @@ def op_norm_2(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def samson_bound(gamma: np.ndarray, t: float) -> float:
-    """Deviation bound 2 * exp(-t^2 / (2 * ||Gamma||_2^2))."""
+def _deviation(s: float, t: float) -> float:
+    """2 * exp(-t^2 / (2 * s^2)), the form of both bounds, for a norm s."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    s = op_norm_2(gamma)
     return 2.0 * math.exp(-(t * t) / (2.0 * s * s))
+
+
+def samson_bound(gamma: np.ndarray, t: float) -> float:
+    """Deviation bound 2 * exp(-t^2 / (2 * ||Gamma||_2^2))."""
+    return _deviation(op_norm_2(gamma), t)
 
 
 def kontram_bound(delta: np.ndarray, t: float, norm_choice: str = "inf") -> float:
     """Deviation bound 2 * exp(-t^2 / (2 * ||Delta||^2)), norm selectable."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
     if norm_choice == "inf":
         s = op_norm_inf(delta)
     elif norm_choice == "2":
         s = op_norm_2(delta)
     else:
         raise ValueError(f"norm_choice must be 'inf' or '2', got {norm_choice!r}")
-    return 2.0 * math.exp(-(t * t) / (2.0 * s * s))
+    return _deviation(s, t)
 
 
 def bounds_report(h: MixingMatrix, t: float) -> dict:
@@ -92,12 +82,12 @@ def bounds_report(h: MixingMatrix, t: float) -> dict:
     ``norm_inf`` and ``norm_2`` describe Delta; the spectral norm entering
     the Gamma-based bound is recomputed internally from Gamma.
     """
-    cm = coupling_matrices(h)
+    gamma, delta = coupling_matrices(h)
     return {
         "t": float(t),
-        "norm_inf": op_norm_inf(cm.delta),
-        "norm_2": op_norm_2(cm.delta),
-        "samson": samson_bound(cm.gamma, t),
-        "kontram_inf": kontram_bound(cm.delta, t, "inf"),
-        "kontram_2": kontram_bound(cm.delta, t, "2"),
+        "norm_inf": op_norm_inf(delta),
+        "norm_2": op_norm_2(delta),
+        "samson": samson_bound(gamma, t),
+        "kontram_inf": kontram_bound(delta, t, "inf"),
+        "kontram_2": kontram_bound(delta, t, "2"),
     }

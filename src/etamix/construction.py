@@ -25,7 +25,8 @@ the breakpoints, at O(|T| log |T|) with |T| <= 2^(solved positions).
 mixing matrix is closed-form too and is the one evaluation of a row's
 cells; its 2^n atoms cost one dense tilt per v_t != 1/2, built on read.
 :func:`pure_row_measure` (every solved position replayed as a dense tilt,
-eta_bar recorded on it) and :func:`row_objective` are the dense references.
+eta_bar recorded on it) is the dense reference, and one cell's dense form is
+eta_bar(reweight(mu, k, t, v), k, t).
 
 Ascending order, kept only in the dense pure_row_measure(order="forward")
 for demonstration, solves each cell as if the later positions were
@@ -206,17 +207,6 @@ def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
     return FiniteMeasure(mu.space, w / total)
 
 
-def row_objective(mu: FiniteMeasure, k: int, t: int, v: float) -> float:
-    """eta_bar(reweight(mu, k, t, v), k, t), the dense form of the cell.
-
-    On the uniform measure at the first visited position this is |2v - 1|:
-    0 at v = 1/2 and 1 at both endpoints.  At later positions its value at
-    v = 1/2 is the coefficient already achieved at the previously visited
-    position.
-    """
-    return eta_bar(reweight(mu, k, t, v), k, t)
-
-
 def _flip_cell(tail: np.ndarray, v: float) -> float:
     """TV(p, p[::-1]) for p = [v, 1-v] (x) tail: cell (k, t) of a pure row.
 
@@ -269,8 +259,8 @@ def solve_row(row: ValidRow) -> tuple[PureRow, tuple[TraceStep, ...]]:
     """Flip vector for ``row``, solved on the closed-form cell from t = n down
     (ascending order lives only in the dense :func:`pure_row_measure`).
 
-    A target equal to the one at t+1 keeps v = 1/2, the identity tilt (see
-    :func:`row_objective`).  Returns the :class:`PureRow` and one step per
+    A target equal to the one at t+1 keeps v = 1/2, the identity tilt of
+    :func:`reweight`.  Returns the :class:`PureRow` and one step per
     position in visit order, whose ``achieved`` is read from the row's own
     :meth:`PureRow.row`.  Builds no dense measure.  Raises :class:`SolveError`
     when a cell misses its target by more than SOLVE_TOL.

@@ -32,7 +32,7 @@ READ_NORM_TOL = 1e-9
 
 
 class FileFormatError(ValueError):
-    """Input file is malformed or violates its schema."""
+    """Unreadable or malformed input, or an output that cannot be written."""
 
 
 def _strict_int(x, what: str) -> int:
@@ -76,17 +76,21 @@ def _float_list(xs: np.ndarray) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text then rename, so readers never observe partial files."""
+    """Write text then rename, so readers never observe partial files.  An
+    OSError becomes a FileFormatError "cannot write", and no temp file stays."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -205,10 +209,6 @@ def write_product(path: str, pm: ProductMeasure) -> None:
 
 
 def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
-    return _parse_product_obj(_load(path), state_cap)
-
-
-def read_product_or_measure(path: str, state_cap: int | None = None) -> ProductMeasure:
     """A product file, or a measure file read as a one-component product."""
     obj = _load(path)
     if "components" in obj:

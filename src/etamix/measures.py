@@ -64,16 +64,6 @@ class SeqSpace:
             idx = idx * self.q + s
         return idx
 
-    def sequence(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`index` for full-length sequences."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for {self}")
-        out = []
-        for _ in range(self.n):
-            index, r = divmod(index, self.q)
-            out.append(r)
-        return tuple(reversed(out))
-
 
 def _frozen(v: np.ndarray) -> np.ndarray:
     v = np.array(v, dtype=np.float64)
@@ -177,17 +167,6 @@ def tv_distance(p, r) -> float:
     if pv.shape != rv.shape:
         raise ValueError(f"dimension mismatch: {pv.shape} vs {rv.shape}")
     return 0.5 * float(np.abs(pv - rv).sum())
-
-
-def prefix_prob(mu: FiniteMeasure, prefix) -> float:
-    """Probability that the first len(prefix) symbols equal the prefix."""
-    prefix = tuple(prefix)
-    i = len(prefix)
-    if not 1 <= i <= mu.n:
-        raise ValueError(f"prefix length {i} outside 1..{mu.n}")
-    q, n = mu.q, mu.n
-    head = SeqSpace(q, i, mu.space.state_cap).index(prefix) if i else 0
-    return float(mu.probs.reshape(q ** i, q ** (n - i)).sum(axis=1)[head])
 
 
 def conditional(mu: FiniteMeasure, prefix) -> FiniteMeasure:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FiniteMeasure, conditional, marginal, tv_distance
+from .measures import FiniteMeasure, _frozen, conditional, marginal, tv_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +46,9 @@ class MixingMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=np.float64)
+        e = _frozen(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
-        e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
     @property
@@ -220,26 +219,12 @@ def phi(mu: FiniteMeasure, g: int) -> float:
     """
     if not 1 <= g <= mu.n - 1:
         raise ValueError(f"gap {g} outside 1..{mu.n - 1}")
-    return float(phi_vector(mu).values[g - 1])
+    return float(phi_vector(mu)[g - 1])
 
 
-@dataclass(frozen=True, eq=False)
-class PhiVector:
-    """phi at every gap g = 1..n-1; nonincreasing in g."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64)
-        if v.shape != (self.n - 1,):
-            raise ValueError(f"expected {self.n - 1} gaps, got shape {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-def phi_vector(mu: FiniteMeasure) -> PhiVector:
-    """:func:`phi` at every gap, from one sweep per past length i."""
+def phi_vector(mu: FiniteMeasure) -> np.ndarray:
+    """:func:`phi` at every gap g = 1..n-1, a read-only array nonincreasing
+    in g, from one sweep per past length i."""
     n = mu.n
     values = np.zeros(n - 1)
     for i in range(1, n):
@@ -248,16 +233,14 @@ def phi_vector(mu: FiniteMeasure) -> PhiVector:
             # the unconditional block law is the column sum of the joint
             d = 0.5 * np.abs(laws - block.sum(axis=0)).sum(axis=1)
             values[g - 1] = max(values[g - 1], float(d[alive].max()))
-    return PhiVector(n, values)
+    return _frozen(values)
 
 
 def check_samson_inequality(mu: FiniteMeasure, slack: float = 1e-9) -> bool:
     """True when eta_bar(i, j) <= 2 * phi_{j-i} + slack for every pair."""
     e = mixing_matrix(mu).entries
+    phis = phi_vector(mu)
     n = mu.n
-    if n == 1:
-        return True
-    phis = phi_vector(mu).values
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             if e[i - 1, j - 1] > 2.0 * phis[j - i - 1] + slack:
@@ -286,11 +269,8 @@ def conjecture_scan(mus) -> list[ConjectureRow]:
     rows = []
     for mid, mu in enumerate(mus):
         n = mu.n
-        if n == 1:
-            lhs, rhs = 0.0, 1.0
-        else:
-            lhs = 0.5 * float(phi_vector(mu).values.sum())
-            e = mixing_matrix(mu).entries
-            rhs = 1.0 + max(float(e[i, i + 1 : n].sum()) for i in range(n - 1))
+        lhs = 0.5 * float(phi_vector(mu).sum())
+        e = mixing_matrix(mu).entries
+        rhs = 1.0 + max((float(e[i, i + 1 : n].sum()) for i in range(n - 1)), default=0.0)
         rows.append(ConjectureRow(mid, n, mu.q, lhs, rhs, lhs <= rhs))
     return rows

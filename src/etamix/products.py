@@ -25,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .measures import FiniteMeasure, SeqSpace
+from .measures import FiniteMeasure, SeqSpace, _frozen
 from .mixing import MixingMatrix, mixing_matrix
 
 
@@ -100,9 +100,7 @@ class FactoredMixing:
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
-            v = np.array(getattr(self, name), dtype=np.float64)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def width(self) -> float:

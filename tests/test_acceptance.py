@@ -20,6 +20,7 @@ from etamix import (
     check_samson_inequality,
     conjecture_scan,
     construct_from_target,
+    eta_bar,
     factored_mixing_matrix,
     kontram_bound,
     marginal,
@@ -28,7 +29,7 @@ from etamix import (
     op_norm_2,
     pure_row_measure,
     rate_R,
-    row_objective,
+    reweight,
     series_product,
     solve_row,
     uniform,
@@ -117,9 +118,9 @@ def test_criterion_2_pure_row_suite():
 
     mu0 = uniform(2, n)
     for k in (1, 2, 3):
-        ok = ok and abs(row_objective(mu0, k, n, 0.0) - 1.0) <= 1e-12
-        ok = ok and abs(row_objective(mu0, k, n, 1.0) - 1.0) <= 1e-12
-        ok = ok and abs(row_objective(mu0, k, n, 0.5)) <= 1e-12
+        ok = ok and abs(eta_bar(reweight(mu0, k, n, 0.0), k, n) - 1.0) <= 1e-12
+        ok = ok and abs(eta_bar(reweight(mu0, k, n, 1.0), k, n) - 1.0) <= 1e-12
+        ok = ok and abs(eta_bar(reweight(mu0, k, n, 0.5), k, n)) <= 1e-12
     verdict("2", ok, "; ".join(details) + "; endpoints exact")
 
 

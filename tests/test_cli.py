@@ -433,6 +433,35 @@ class TestScan:
         assert r.returncode == 2
 
 
+class TestUnwritableOutput:
+    COMMANDS = {
+        "construct -o": lambda d, bad: ["construct", d["target"], "-o", bad],
+        "construct --trace": lambda d, bad: [
+            "construct", d["target"], "-o", d["product"], "--trace", bad],
+        "rate": lambda d, bad: ["rate", d["spec"], "-o", bad],
+        "bounds": lambda d, bad: ["bounds", d["target"], "--t", "1", "-o", bad],
+        "mix": lambda d, bad: ["mix", d["measure"], "-o", bad],
+        "product": lambda d, bad: ["product", d["measure"], "-o", bad],
+        "scan": lambda d, bad: ["scan", "--count", "2", "--n", "2", "-o", bad],
+    }
+
+    @pytest.mark.parametrize("target", ["missing/out", "directory", "directory/"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exit_code(self, tmp_path, target_file, command, target, capsys):
+        # an OSError from the write used to escape as a traceback and exit 1
+        d = {"target": target_file, "product": str(tmp_path / "pm.json"),
+             "spec": str(tmp_path / "spec.json"), "measure": str(tmp_path / "m.json")}
+        atomic_write(d["spec"], json.dumps(
+            {"rate": {"kind": "builtin", "name": "sqrt"}, "k_max": 2, "n_max": 8}))
+        write_measure(d["measure"], copy_chain(2))
+        (tmp_path / "directory").mkdir()
+        bad = f"{tmp_path}/{target}"
+        assert main(self.COMMANDS[command](d, bad)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {bad}: ")
+        assert not list(tmp_path.rglob(".tmp-*.part"))
+
+
 class TestTopLevel:
     def test_version_flag(self):
         r = run_cli("--version")

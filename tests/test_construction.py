@@ -21,7 +21,6 @@ from etamix import (
     mixing_matrix,
     pure_row_measure,
     reweight,
-    row_objective,
     solve_row,
     uniform,
 )
@@ -110,13 +109,13 @@ class TestReweight:
 class TestRowObjective:
     def test_linear_on_uniform(self):
         mu = uniform(2, 2)
-        assert row_objective(mu, 1, 2, 0.5) == 0.0
-        assert row_objective(mu, 1, 2, 1.0) == 1.0
-        assert row_objective(mu, 1, 2, 0.75) == pytest.approx(0.5, abs=1e-15)
+        assert eta_bar(reweight(mu, 1, 2, 0.5), 1, 2) == 0.0
+        assert eta_bar(reweight(mu, 1, 2, 1.0), 1, 2) == 1.0
+        assert eta_bar(reweight(mu, 1, 2, 0.75), 1, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_in_v(self):
         mu = uniform(2, 3)
-        vals = [row_objective(mu, 1, 3, v) for v in np.linspace(0.5, 1.0, 9)]
+        vals = [eta_bar(reweight(mu, 1, 3, v), 1, 3) for v in np.linspace(0.5, 1.0, 9)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -157,7 +156,7 @@ class TestSolveV:
         # Couple (1,3) hard; the (1,2) cell then sits at 0.8 even at v = 1/2,
         # and nothing in [1/2, 1] brings it lower.
         mu = reweight(uniform(2, 3), 1, 3, 0.9)
-        assert row_objective(mu, 1, 2, 0.5) == pytest.approx(0.8, abs=1e-12)
+        assert eta_bar(reweight(mu, 1, 2, 0.5), 1, 2) == pytest.approx(0.8, abs=1e-12)
         assert construction._flip_solve(np.array([0.9, 0.1]), 0.2) == 0.5
 
     def test_flat_piece_at_half(self):
@@ -178,7 +177,7 @@ class TestSolveV:
             mu = reweight(mu, k, s, v_s)
             if v_s != 0.5:
                 tail = np.kron([v_s, 1.0 - v_s], tail)
-        floor = row_objective(mu, k, t, 0.5)
+        floor = eta_bar(reweight(mu, k, t, 0.5), k, t)
         # a free target and one the drawn flip reaches
         for target in (u, construction._flip_cell(tail, v)):
             v_star = construction._flip_solve(tail, target)
@@ -187,7 +186,7 @@ class TestSolveV:
                 assert v_star == 0.5
                 assert target <= floor + 1e-12
             else:
-                assert abs(row_objective(mu, k, t, v_star) - target) <= 1e-12
+                assert abs(eta_bar(reweight(mu, k, t, v_star), k, t) - target) <= 1e-12
 
     def test_residuals_at_n20(self):
         rng = np.random.default_rng(2020)
@@ -320,7 +319,7 @@ class TestClosedFormCell:
             mu = reweight(mu, k, s, v_s)
             if v_s != 0.5:
                 tail = np.kron([v_s, 1.0 - v_s], tail)
-        dense = row_objective(mu, k, t, v)
+        dense = eta_bar(reweight(mu, k, t, v), k, t)
         assert abs(construction._flip_cell(tail, v) - dense) <= 1e-12
 
     @pytest.mark.parametrize("order", ["backward", "forward"])

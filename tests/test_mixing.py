@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,8 +123,7 @@ class TestEtaBar:
         i, j = 2, 3
         bound = eta_bar(mu, i, j)
         best = 0.0
-        for yi in range(2 ** (i - 1)):
-            y = SeqSpace(2, i - 1).sequence(yi)
+        for y in itertools.product(range(2), repeat=i - 1):
             for w in range(2):
                 for wp in range(2):
                     best = max(best, eta(mu, i, j, y, w, wp))
@@ -224,12 +225,12 @@ class TestPhi:
     @given(st.integers(0, 10_000))
     def test_vector_nonincreasing(self, seed):
         mu = random_full_support(2, 4, np.random.default_rng(seed))
-        v = phi_vector(mu).values
+        v = phi_vector(mu)
         assert np.all(v[:-1] >= v[1:] - 1e-12)
 
     def test_vector_shape(self):
         pv = phi_vector(uniform(2, 4))
-        assert pv.n == 4 and pv.values.shape == (3,)
+        assert pv.shape == (3,) and not pv.flags.writeable
 
 
 class TestSamsonInequality:
@@ -238,6 +239,7 @@ class TestSamsonInequality:
         assert all(
             check_samson_inequality(random_full_support(2, 4, rng)) for _ in range(20)
         )
+        assert check_samson_inequality(uniform(2, 1))
 
     def test_tight_on_copy_chain(self):
         # eta_bar(1,2) = 1 while phi_1 = 1/2, so the factor two is exact.
