@@ -38,10 +38,10 @@ def main() -> None:
     p = build_process(r, k_max=cfg.k_max, n_max=cfg.n_max)
 
     print(f"checkpoints ({cfg.rate} rate, k_max={cfg.k_max}, n_max={cfg.n_max}):")
-    print("  k  eps_k   n_k  h_k   ratio    pass")
+    print("  k  eps_k   n_k  ratio    pass")
     for rep in check_checkpoints(p):
         print(
-            f"  {rep.k}  {rep.eps:.3f}  {rep.n:3d}  {rep.h:.2f}  "
+            f"  {rep.k}  {rep.eps:.3f}  {rep.n:3d}  "
             f"{rep.ratio:.4f}  {'yes' if rep.passed else 'NO'}"
         )
 

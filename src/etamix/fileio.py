@@ -320,7 +320,7 @@ def checkpoint_csv(reports: list[CheckpointReport]) -> str:
     lines = [f"# {FORMAT_VERSION}", "k,eps_k,n_k,h_k,ratio,pass"]
     for r in reports:
         lines.append(
-            f"{r.k},{_fmt(r.eps)},{r.n},{_fmt(r.h)},{_fmt(r.ratio)},"
+            f"{r.k},{_fmt(r.eps)},{r.n},1,{_fmt(r.ratio)},"
             f"{'true' if r.passed else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -88,7 +88,7 @@ class FiniteMeasure:
         if np.any(probs < 0.0):
             raise ValueError("negative atom probability")
         total = float(probs.sum())
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # a NaN total fails too
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
 
     @property

@@ -2,32 +2,28 @@
 
 The mixing rate of a measure at horizon n is R(n) = the max row sum of the
 unit-diagonal coefficient matrix Delta_n = I + [eta_bar of the length-n
-prefix].  Given a valid rate r (integer, nondecreasing, 1 <= r(n) <= n), we
-build one pure-row component per checkpoint k: build_process picks the
-smallest horizon n_k and a constant row value h_k with
+prefix].  Given a valid rate r (integer, nondecreasing, 1 <= r(n) <= n),
+build_process picks, for each checkpoint k, the smallest horizon n_k with
 
-    1 - eps_k  <=  h_k * (n_k - k) / r(n_k)  <=  1,
+    1 - eps_k  <=  min(r(n_k), n_k - k) / r(n_k)  <=  1,
 
-and component k is the pure row-k measure on {0,1}^(n_k) with constant row
-h_k.  One flip realizes a constant row: with v_{n_k} = (1 + h_k) / 2 and
-v_t = 1/2 for k < t < n_k, every cell (k, t) is |2 v_{n_k} - 1| = h_k, which
-is what the row solve finds.  h_k is always 1 (see build_process), so
-component k is the copy X_{n_k} = X_k over iid fair bits.  The horizons are
-nondecreasing in k, so one forward scan over n finds them all and the build
-costs O(n_max + k_max).
-Each component is kept in that flip-vector form
-(:class:`~etamix.construction.PureRow`), whose prefix matrices are closed
-form: cell (k, t) of the length-m prefix is TV(prod_{t<=s<=m} Bern(v_s), its
-bit-flip mirror), which is 1 for t <= m = n_k and 0 for m < n_k.  Components
-run in parallel, padded beyond their natural length by independent fair bits
-that add nothing to any cell, and component k lives on row k (build_process
-guarantees it), so no two add on one row: R(n) is 1 plus the largest
-component row sum.  The audit reads each component's row (PureRow.row) and
-builds neither an n-by-n array nor a 2^(n_k) measure: O(k_max * sum of n_k)
-numpy work in all.
+which is h (n_k - k) / r(n_k) for the largest constant row value
+h = min(1, r(n_k) / (n_k - k)) that keeps it <= 1.  h is always 1 (see build_process), so component k is the copy
+X_{n_k} = X_k over iid fair bits, and the checkpoint table is the whole
+process: ``components`` builds the copies, in flip-vector form
+(:class:`~etamix.construction.PureRow`), only when read.
+
+Components run in parallel, padded beyond their natural length by
+independent fair bits that add nothing to any cell, and component k lives
+on row k, so no two add on one row.  Row k of the length-m prefix is zero
+for m < n_k and n_k - k ones from n_k on, so R(n) is 1 plus the largest
+n_j - j over horizons n_j <= n.  check_checkpoints reads that off the
+table in one pass; rate_R and delta_matrix read the components' rows and
+are its test oracles.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,7 +103,7 @@ def validate_rate(r: RateFunction) -> list[str]:
 
 
 def _admits(rn: int, n: int, k: int, eps: float) -> bool:
-    """n admits checkpoint k: h (n - k) / r(n) = min(r(n), n - k) / r(n) >= 1 - eps."""
+    """n admits checkpoint k: min(r(n), n - k) / r(n) >= 1 - eps."""
     return 1.0 - eps <= min(rn, n - k) / rn
 
 
@@ -128,30 +124,27 @@ class Checkpoint:
     k: int
     eps: float
     n: int
-    h: float
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedProcess:
-    """Parallel family of pure-row components padded by independent fair bits.
-
-    ``components[k-1]`` lives on {0,1}^(n_k) at its natural length; padding
-    beyond n_k is implicit.
-    """
+    """Parallel family of copy components padded by independent fair bits,
+    held as its checkpoint table."""
 
     rate: RateFunction
     n_max: int
     checkpoints: tuple[Checkpoint, ...]
-    components: tuple[PureRow, ...]
 
     @property
     def k_max(self) -> int:
-        return len(self.components)
+        return len(self.checkpoints)
 
-
-def _constant_row(n: int, k: int, h: float) -> PureRow:
-    """Pure row k on {0,1}^n with every cell |2 v_n - 1| = h: one flip, at n."""
-    return PureRow(n, k, (0.5,) * (n - k - 1) + ((1.0 + h) / 2.0,))
+    @functools.cached_property
+    def components(self) -> tuple[PureRow, ...]:
+        """``components[k-1]``: the copy X_{n_k} = X_k on {0,1}^(n_k) at its
+        natural length, built on first read; padding beyond n_k is implicit."""
+        return tuple(PureRow(cp.n, cp.k, (0.5,) * (cp.n - cp.k - 1) + (1.0,))
+                     for cp in self.checkpoints)
 
 
 def build_process(
@@ -177,7 +170,9 @@ def build_process(
     h_k is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the first
     horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
     nondecreasing, so r(n-1) = n-1-k: horizon n-1 has ratio exactly 1 and
-    admits k first.
+    admits k first.  So component k is the copy X_{n_k} = X_k: the process
+    is its checkpoint table, its components are built when read, and
+    check_checkpoints audits it in one pass over the horizons.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -202,7 +197,6 @@ def build_process(
         raise ValueError(f"eps values must be strictly decreasing, got {eps}")
 
     checkpoints = []
-    components = []
     n = 1
     for k, e in enumerate(eps, start=1):
         n = max(n, k + 1)
@@ -212,10 +206,8 @@ def build_process(
             # the bound grows with k and as eps falls: a rerun's last checkpoint needs the most
             last = eps[-1] if len(eps) == k_max else 1 / (k_max + 1)
             raise HorizonTooSmall(k, e, n_max, _horizon_bound(k_max, last))
-        h = min(1.0, r.values[n - 1] / (n - k))
-        checkpoints.append(Checkpoint(k, e, n, h))
-        components.append(_constant_row(n, k, h))
-    return TruncatedProcess(r, n_max, tuple(checkpoints), tuple(components))
+        checkpoints.append(Checkpoint(k, e, n))
+    return TruncatedProcess(r, n_max, tuple(checkpoints))
 
 
 def delta_matrix(p: TruncatedProcess, n: int) -> np.ndarray:
@@ -249,22 +241,29 @@ class CheckpointReport:
     k: int
     eps: float
     n: int
-    h: float
     ratio: float
     norm_ratio: float
     passed: bool
 
 
 def check_checkpoints(p: TruncatedProcess, tol: float = 1e-9) -> list[CheckpointReport]:
-    """Audit every checkpoint: ratio must land in [1 - eps_k, 1 + tol]."""
+    """Audit every checkpoint: ratio must land in [1 - eps_k, 1 + tol].
+
+    Reads the horizons alone, nondecreasing as build_process makes them.
+    At n_k every j <= k has n_j <= n_k and adds a row of n_j - j ones; a
+    later j adds nothing if n_j > n_k and only n_k - j < n_k - k if
+    n_j = n_k.  So R(n_k) - 1 is the running max of n_j - j over j <= k,
+    which rate_R(p, n_k) - 1 equals bit for bit.
+    """
     out = []
+    top = 0
     for cp in p.checkpoints:
-        big_r = rate_R(p, cp.n)
+        top = max(top, cp.n - cp.k)
         rn = p.rate(cp.n)
-        ratio = (big_r - 1.0) / rn
+        ratio = top / rn
         out.append(
             CheckpointReport(
-                cp.k, cp.eps, cp.n, cp.h, ratio, big_r / rn,
+                cp.k, cp.eps, cp.n, ratio, (1 + top) / rn,
                 1.0 - cp.eps <= ratio <= 1.0 + tol,
             )
         )

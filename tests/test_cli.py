@@ -377,6 +377,20 @@ class TestRate:
             (k, n_k(k), "true") for k in range(1, 101)
         ]
 
+    def test_linear_rate_at_k_max_1000(self, tmp_path):
+        # the audit reads the horizons alone, so no checkpoint builds its
+        # component: the flip vectors would hold ~3.3e8 probabilities
+        spec = self._spec(
+            tmp_path,
+            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 1000, "n_max": 1001001},
+        )
+        out = str(tmp_path / "cp.csv")
+        r = run_cli("rate", spec, "-o", out)
+        assert r.returncode == 0, r.stderr
+        assert "1000/1000 checkpoints pass" in r.stdout
+        last = Path(out).read_text().splitlines()[-1].split(",")
+        assert (last[0], last[2], last[3], last[-1]) == ("1000", "1001000", "1", "true")
+
     @pytest.mark.parametrize("n_max", [6, 30, 42])
     def test_rerun_at_the_hinted_horizon_passes(self, tmp_path, n_max, capsys):
         # the hint covers every checkpoint, not just the first that fails;

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etamix.concentration as concentration
 from etamix import (
     MixingMatrix,
     TargetInvalid,
@@ -149,3 +150,16 @@ class TestBoundsReport:
         assert rep["norm_2"] == pytest.approx(
             oracles.spectral_norm_2x2_charpoly([[1.0, 1.0], [0.0, 1.0]]), abs=1e-9
         )
+
+    def test_each_norm_taken_once(self, monkeypatch):
+        # one SVD of Delta, shared by norm_2 and kontram_2, and one of Gamma
+        calls = []
+        monkeypatch.setattr(concentration, "op_norm_2",
+                            lambda m: calls.append(m) or op_norm_2(m))
+        h = MixingMatrix([[0.0, 0.5, 0.25], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        rep = bounds_report(h, 1.5)
+        assert len(calls) == 2
+        gamma, delta = coupling_matrices(h)
+        assert rep["samson"] == samson_bound(gamma, 1.5)
+        assert rep["kontram_inf"] == kontram_bound(delta, 1.5, "inf")
+        assert rep["kontram_2"] == kontram_bound(delta, 1.5, "2")

@@ -88,6 +88,12 @@ class TestFiniteMeasure:
             FiniteMeasure(space, np.array([0.6, 0.6]))
         FiniteMeasure(space, np.array([0.5, 0.5 + 1e-13]))
 
+    @pytest.mark.parametrize("probs", [[np.nan] * 4, [0.5, 0.5, np.nan, 0.0]])
+    def test_constructor_rejects_nan_atoms(self, probs):
+        # a NaN total once passed the sum check, and mixing_matrix read zeros
+        with pytest.raises(ValueError, match="sum to nan"):
+            FiniteMeasure(SeqSpace(2, 2), np.array(probs))
+
     def test_probs_read_only(self):
         mu = uniform(2, 2)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from etamix import (
     validate_rate,
 )
 from etamix.concentration import op_norm_inf
-from etamix.process import _constant_row
 
 from oracles import FlipLawExact, mixing_matrix_slow
 
@@ -92,28 +92,29 @@ class TestFindNk:
 class TestBuildProcess:
     def test_constant_one_rate(self):
         p = build_process(RateFunction.constant(1, 12), k_max=1, n_max=12, eps=(0.5,))
-        assert p.checkpoints == (Checkpoint(1, 0.5, 2, 1.0),)
+        assert p.checkpoints == (Checkpoint(1, 0.5, 2),)
 
     def test_linear_rate_boundary_ratio(self):
         # At n = 2 the ratio is exactly 1 - eps, which is admissible.
         p = build_process(RateFunction.linear(12), k_max=1, n_max=12, eps=(0.5,))
-        assert p.checkpoints == (Checkpoint(1, 0.5, 2, 1.0),)
+        assert p.checkpoints == (Checkpoint(1, 0.5, 2),)
 
     def test_sqrt_rate_skips_tight_horizon(self):
         p = build_process(RateFunction.sqrt(12), k_max=2, n_max=12, eps=(0.5, 0.25))
-        assert p.checkpoints[1] == Checkpoint(2, 0.25, 4, 1.0)
+        assert p.checkpoints[1] == Checkpoint(2, 0.25, 4)
 
     def test_horizon_too_small_reports_fix(self):
         with pytest.raises(HorizonTooSmall) as exc:
             build_process(RateFunction.linear(6), k_max=2, n_max=6, eps=(0.5, 0.25))
         assert (exc.value.k, exc.value.required_n_max) == (2, 8)
         p = build_process(RateFunction.linear(8), k_max=2, n_max=8, eps=(0.5, 0.25))
-        assert p.checkpoints[1] == Checkpoint(2, 0.25, 8, 1.0)
+        assert p.checkpoints[1] == Checkpoint(2, 0.25, 8)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_accepted_row_value_is_one(self, data):
-        # The closed-form components rely on h = 1, and the one forward scan
+        # The copy components rely on h = min(1, r(n_k) / (n_k - k)) = 1,
+        # that is r(n_k) >= n_k - k, and the one forward scan
         # must land where a fresh scan from k + 1 lands for every checkpoint.
         n_max = data.draw(st.integers(2, 40))
         values = [1]
@@ -135,7 +136,7 @@ class TestBuildProcess:
         assert [cp.n for cp in checkpoints] == [
             _first_horizon(values, k, e) for k, e in enumerate(eps[:k_max], start=1)
         ]
-        assert all(cp.h == 1.0 for cp in checkpoints)
+        assert all(r(cp.n) >= cp.n - cp.k for cp in checkpoints)
 
     def test_scan_resumes_at_the_last_horizon(self, monkeypatch):
         # one forward pass: a restart at k + 1 per checkpoint would test
@@ -156,7 +157,7 @@ class TestBuildProcess:
     def test_sqrt_instance_checkpoints(self):
         p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
         assert tuple(cp.n for cp in p.checkpoints) == (2, 4, 6, 7, 8)
-        assert all(cp.h == 1.0 for cp in p.checkpoints)
+        assert all(p.rate(cp.n) >= cp.n - cp.k for cp in p.checkpoints)
         assert p.k_max == 5
 
     def test_components_live_at_natural_length(self):
@@ -164,10 +165,10 @@ class TestBuildProcess:
         assert tuple(c.n for c in p.components) == (2, 4, 6)
 
     def test_copy_components_are_the_row_solve(self):
-        # h_k = 1: the direct flip vector is the solve's output bit for bit
+        # h_k = 1: the copy's flip vector is the solve's output bit for bit
         p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
         for cp, comp in zip(p.checkpoints, p.components):
-            solved, _ = solve_row(ValidRow(cp.n, cp.k, (cp.h,) * (cp.n - cp.k)))
+            solved, _ = solve_row(ValidRow(cp.n, cp.k, (1.0,) * (cp.n - cp.k)))
             assert comp == solved
 
     @settings(max_examples=60, deadline=None)
@@ -177,7 +178,7 @@ class TestBuildProcess:
     @example((2, 1, 1e-12))
     def test_constant_row_matches_the_row_solve(self, case):
         n, k, h = case
-        direct = _constant_row(n, k, h)
+        direct = PureRow(n, k, (0.5,) * (n - k - 1) + ((1.0 + h) / 2.0,))
         solved, _ = solve_row(ValidRow(n, k, (h,) * (n - k)))
         # the one flip lies past the breakpoint of the empty tail, where the
         # solve takes (1 + h) / 2 itself
@@ -221,6 +222,7 @@ class TestBuildProcess:
         p = build_process(RateFunction.linear(64), k_max=4, n_max=64,
                           eps=(0.51, 0.29, 0.252, 0.202))
         reports = check_checkpoints(p)
+        assert "components" not in vars(p)  # the audit read the horizons alone
         assert [c.n for c in p.components] == [2, 7, 12, 20]
         assert all(r.passed for r in reports)
 
@@ -295,13 +297,14 @@ class TestCheckCheckpoints:
         )
 
     def test_corrupted_component_is_caught(self):
+        # component 2 copied at horizon 3 in place of 4: its row holds one
+        # cell, so R(3) - 1 = 1 against r(3) = 2, below 1 - eps_2 = 2/3
         p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
-        comps = list(p.components)
-        n, k = comps[1].n, comps[1].k
-        comps[1] = PureRow(n, k, (0.5,) * (n - k))  # the uniform measure
-        broken = dataclasses.replace(p, components=tuple(comps))
+        table = list(p.checkpoints)
+        table[1] = dataclasses.replace(table[1], n=3)
+        broken = dataclasses.replace(p, checkpoints=tuple(table))
         reports = check_checkpoints(broken)
-        assert not reports[1].passed
+        assert not reports[1].passed and reports[1].ratio == 0.5
         assert reports[0].passed  # the untouched checkpoint still audits clean
 
 
@@ -321,14 +324,15 @@ def _processes(draw, n_max_hi):
 
 
 def _corrupted(draw, p):
-    """p with one component's flip vector redrawn at random."""
+    """A stand-in for p, with the n_max and components rate_R reads, and
+    one component's flip vector redrawn at random."""
     i = draw(st.integers(0, p.k_max - 1))
     c = p.components[i]
     flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.0, 1.0))
     v = draw(st.lists(flip, min_size=c.n - c.k, max_size=c.n - c.k))
     comps = list(p.components)
     comps[i] = PureRow(c.n, c.k, tuple(v))
-    return dataclasses.replace(p, components=tuple(comps))
+    return types.SimpleNamespace(n_max=p.n_max, components=tuple(comps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,3 +366,21 @@ class TestRateFromRows:
     def test_rate_is_the_delta_row_sum(self, p):
         for n in range(1, p.n_max + 1):
             assert rate_R(p, n) == op_norm_inf(delta_matrix(p, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_audit_is_the_row_sum_rate(self, data):
+        # the running max over the horizons is rate_R read off the rows, also
+        # on a table redrawn with tied horizons, where n_k - k can fall
+        p = data.draw(_processes(64))
+        if data.draw(st.booleans()):
+            table, n = [], 2
+            for cp in p.checkpoints:
+                n = data.draw(st.integers(max(n, cp.k + 1), p.n_max))
+                table.append(dataclasses.replace(cp, n=n))
+            p = dataclasses.replace(p, checkpoints=tuple(table))
+        for rep in check_checkpoints(p):
+            big_r = rate_R(p, rep.n)
+            rn = p.rate(rep.n)
+            assert rep.ratio == (big_r - 1.0) / rn
+            assert rep.norm_ratio == big_r / rn
