@@ -1,12 +1,14 @@
 """Build a process tracking a prescribed mixing-rate profile and audit it.
 
 Shows the checkpoint table (where each component locks the rate against the
-profile) and the realized rate R(n) across all horizons.
+profile) and the realized rate R(n) across all horizons, read off the
+checkpoint horizons: R(n) = 1 + max{n_j - j : n_j <= n}, one pass over
+n = 1..n_max and the checkpoints together.
 """
 import argparse
 from dataclasses import dataclass
 
-from etamix import RateFunction, build_process, check_checkpoints, rate_R
+from etamix import RateFunction, build_process, check_checkpoints
 
 
 @dataclass
@@ -47,8 +49,12 @@ def main() -> None:
 
     print("\nrealized rate profile:")
     print("   n  r(n)  R(n)")
+    cps, j, top = p.checkpoints, 0, 0
     for n in range(1, cfg.n_max + 1):
-        print(f"  {n:2d}  {r(n):4d}  {rate_R(p, n):.2f}")
+        while j < len(cps) and cps[j].n <= n:
+            top = max(top, cps[j].n - cps[j].k)
+            j += 1
+        print(f"  {n:2d}  {r(n):4d}  {1 + top:.2f}")
 
 
 if __name__ == "__main__":

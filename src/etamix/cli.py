@@ -9,22 +9,23 @@ each flip probability exactly from the cell's piecewise-linear closed form,
 in O(|T| log |T|) per position for a tail law of |T| atoms, audits every
 cell and prints its trace's worst miss.  Output files are written
 atomically and depend only on the inputs and the seed, so reruns are
-byte-identical.
+byte-identical.  Each command imports the engine it runs when it runs, so
+``rate``, ``--help`` and ``--version`` never load numpy.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio
-from .concentration import bounds_report
-from .construction import SolveError, construct_from_target
-from .measures import DEFAULT_STATE_CAP, SeqSpace, StateCapExceeded, random_measure
-from .mixing import TargetInvalid, conjecture_scan, mixing_matrix, validate_target
-from .process import HorizonTooSmall, build_process, check_checkpoints
-from .products import ProductMeasure, materialize
+from .errors import (
+    DEFAULT_STATE_CAP,
+    HorizonTooSmall,
+    SolveError,
+    StateCapExceeded,
+    TargetInvalid,
+)
+from .process import build_process, check_checkpoints
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,6 +37,8 @@ EXIT_SOLVE = 6
 
 
 def _cmd_mix(args) -> int:
+    from .mixing import mixing_matrix
+
     mu = fileio.read_measure(args.measure, state_cap=args.state_cap)
     fileio.write_matrix(args.output, mixing_matrix(mu))
     print(f"wrote {args.output} (n={mu.n})")
@@ -43,6 +46,9 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construction import construct_from_target
+    from .measures import SeqSpace
+
     h = fileio.read_matrix(args.matrix)
     # the product file holds 2^n atoms per component: refuse past the cap before solving
     SeqSpace(2, h.n)
@@ -66,6 +72,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .concentration import bounds_report
+
     h = fileio.read_matrix(args.matrix)
     fileio.write_bounds(args.output, bounds_report(h, args.t))
     print(f"wrote {args.output}")
@@ -73,6 +81,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .mixing import validate_target
+
     h = fileio.read_matrix(args.matrix)
     violations = validate_target(h)
     if not violations:
@@ -84,6 +94,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from .products import ProductMeasure, materialize
+
     if len(args.measures) == 1:
         pm = fileio.read_product(args.measures[0], state_cap=args.state_cap)
     else:
@@ -100,6 +112,11 @@ def _cmd_product(args) -> int:
 def _cmd_scan(args) -> int:
     if args.count < 1:
         raise fileio.FileFormatError(f"--count must be >= 1, got {args.count}")
+    import numpy as np
+
+    from .measures import SeqSpace, random_measure
+    from .mixing import conjecture_scan
+
     rng = np.random.default_rng(args.seed)
     space = SeqSpace(args.q, args.n, args.state_cap)
     mus = [random_measure(space, rng=rng) for _ in range(args.count)]

@@ -48,17 +48,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import SolveError, TargetInvalid
 from .measures import FiniteMeasure, SeqSpace, uniform
-from .mixing import MixingMatrix, TargetInvalid, _block_laws, eta_bar, validate_target
+from .mixing import MixingMatrix, _block_laws, eta_bar, validate_target
 from .products import ProductMeasure
 
 #: Audit bound on |achieved - target| for every solved cell, which the exact
 #: solve meets to a few float spacings.
 SOLVE_TOL = 1e-12
-
-
-class SolveError(RuntimeError):
-    """A solved cell missed its target by more than SOLVE_TOL."""
 
 
 def _unit_values(n: int, k: int, xs, what: str) -> tuple[float, ...]:

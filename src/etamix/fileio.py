@@ -5,22 +5,28 @@ Writers are deterministic byte for byte: floats are emitted with 17
 significant digits and every file starts with (or contains) the format
 version tag.  Files are written atomically via a temp file and rename.
 Measure readers renormalize atom vectors whose sum drifted by less than
-1e-9 and reject anything worse.
+1e-9 and reject anything worse.  numpy and the array modules are imported
+by the readers and writers of arrays when they run; process specs and
+checkpoint reports need neither.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .construction import ConstructionTrace
-from .measures import FiniteMeasure, SeqSpace, StateCapExceeded, from_weights
-from .mixing import ConjectureRow, MixingMatrix
+from .errors import FileFormatError, StateCapExceeded
 from .process import CheckpointReport, RateFunction
-from .products import ProductMeasure
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .construction import ConstructionTrace
+    from .measures import FiniteMeasure
+    from .mixing import ConjectureRow, MixingMatrix
+    from .products import ProductMeasure
 
 FORMAT_VERSION = f"etamix-{__version__}"
 
@@ -29,10 +35,6 @@ READ_VERSIONS = ("etamix-0.1.0", "etamix-0.2.0", "etamix-0.3.0")
 
 #: Acceptable drift of sum(probs) in a measure file before it is rejected.
 READ_NORM_TOL = 1e-9
-
-
-class FileFormatError(ValueError):
-    """Unreadable or malformed input, or an output that cannot be written."""
 
 
 def _strict_int(x, what: str) -> int:
@@ -44,16 +46,23 @@ def _strict_int(x, what: str) -> int:
     return x
 
 
-def _numbers(xs, what: str) -> np.ndarray:
-    """xs as float64 when it is a JSON list of numbers, bools excluded."""
+def _floats(xs, what: str) -> list[float]:
+    """xs as floats when it is a JSON list of numbers, bools excluded."""
     if not isinstance(xs, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs
     ):
         raise FileFormatError(f"{what} must be a list of numbers")
     try:
-        return np.asarray(xs, dtype=np.float64)
+        return list(map(float, xs))
     except OverflowError as exc:  # an integer literal past the float range
         raise FileFormatError(f"{what}: {exc}") from exc
+
+
+def _numbers(xs, what: str) -> np.ndarray:
+    """:func:`_floats` as a float64 array."""
+    import numpy as np
+
+    return np.asarray(_floats(xs, what), dtype=np.float64)
 
 
 def _fmt(x: float) -> str:
@@ -68,6 +77,8 @@ def _float_list(xs: np.ndarray) -> str:
     values.  Values are told apart by their bits, so -0.0 and 0.0 keep
     their own text.
     """
+    import numpy as np
+
     bits, where = np.unique(
         np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64), return_inverse=True
     )
@@ -114,6 +125,10 @@ def write_measure(path: str, mu: FiniteMeasure) -> None:
 
 
 def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
+    import numpy as np
+
+    from .measures import SeqSpace, from_weights
+
     if not isinstance(obj, dict):
         raise FileFormatError("measure object must be a JSON object")
     try:
@@ -172,6 +187,10 @@ def write_matrix(path: str, h: MixingMatrix) -> None:
 
 
 def read_matrix(path: str) -> MixingMatrix:
+    import numpy as np
+
+    from .mixing import MixingMatrix
+
     obj = _load(path)
     try:
         n, entries = obj["n"], obj["entries"]
@@ -210,6 +229,8 @@ def write_product(path: str, pm: ProductMeasure) -> None:
 
 def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
     """A product file, or a measure file read as a one-component product."""
+    from .products import ProductMeasure
+
     obj = _load(path)
     if "components" in obj:
         return _parse_product_obj(obj, state_cap)
@@ -217,6 +238,8 @@ def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
 
 
 def _parse_product_obj(obj: dict, state_cap: int | None) -> ProductMeasure:
+    from .products import ProductMeasure
+
     comps = obj.get("components")
     if not isinstance(comps, list) or not comps:
         raise FileFormatError("product file needs a nonempty components list")
@@ -274,7 +297,7 @@ def read_process_spec(path: str):
         raise FileFormatError(f"rate kind must be 'table' or 'builtin', got {kind!r}")
     eps = obj.get("eps")
     if eps is not None:
-        eps = tuple(_numbers(eps, "eps").tolist())
+        eps = tuple(_floats(eps, "eps"))
         if len(eps) != k_max:
             raise FileFormatError(f"eps must be a list of {k_max} numbers")
     return r, k_max, n_max, eps

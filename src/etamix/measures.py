@@ -15,15 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Refuse dense vectors with more states than this (128 MiB of float64).
-DEFAULT_STATE_CAP = 1 << 24
+from .errors import DEFAULT_STATE_CAP, StateCapExceeded
 
 #: Allowed drift of sum(probs) away from 1 for a well-formed measure.
 NORM_TOL = 1e-12
-
-
-class StateCapExceeded(ValueError):
-    """The requested sequence space needs more dense states than the cap."""
 
 
 class ZeroProbabilityPrefix(ValueError):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TargetInvalid  # noqa: F401  (raised by callers of validate_target)
 from .measures import FiniteMeasure, _frozen, conditional, marginal, tv_distance
 
 
@@ -71,16 +72,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind} at ({self.i},{self.j}): {self.detail}"
-
-
-class TargetInvalid(ValueError):
-    """A prospective mixing matrix fails the realizability properties."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        lines = "; ".join(str(v) for v in violations[:8])
-        more = "" if len(violations) <= 8 else f" (+{len(violations) - 8} more)"
-        super().__init__(f"invalid mixing target: {lines}{more}")
 
 
 def eta(mu: FiniteMeasure, i: int, j: int, y, w: int, wp: int) -> float:

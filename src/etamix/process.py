@@ -19,34 +19,23 @@ on row k, so no two add on one row.  Row k of the length-m prefix is zero
 for m < n_k and n_k - k ones from n_k on, so R(n) is 1 plus the largest
 n_j - j over horizons n_j <= n.  check_checkpoints reads that off the
 table in one pass; rate_R and delta_matrix read the components' rows and
-are its test oracles.
+are its test oracles.  Only those and ``components`` load numpy and the
+construction engine, so building and auditing a process is pure Python.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DEFAULT_STATE_CAP, HorizonTooSmall, StateCapExceeded
 
-from .construction import PureRow
-from .measures import DEFAULT_STATE_CAP, StateCapExceeded
+if TYPE_CHECKING:
+    import numpy as np
 
-
-class HorizonTooSmall(ValueError):
-    """No admissible checkpoint horizon within n_max; carries the fix, an
-    n_max at which a rerun admits every checkpoint, named only within the
-    rate-table cap."""
-
-    def __init__(self, k: int, eps: float, n_max: int, required: int):
-        self.k = k
-        self.eps = eps
-        self.n_max = n_max
-        self.required_n_max = required
-        fix = f"n_max >= {required} suffices"
-        if required > DEFAULT_STATE_CAP:
-            fix = f"the horizon it needs is past the {DEFAULT_STATE_CAP}-entry rate-table cap"
-        super().__init__(f"no horizon <= {n_max} admits checkpoint k={k} at eps={eps}; {fix}")
+    from .construction import PureRow
 
 
 @dataclass(frozen=True)
@@ -90,16 +79,20 @@ class RateFunction:
         return cls.from_callable(lambda n: min(n, c), n_max)
 
 
+def _rate_violations(values: tuple[int, ...]):
+    """Each violated validity condition as an unformatted (template, fields)
+    pair, so a caller can format a few and count the rest."""
+    for n, v in enumerate(values, start=1):
+        if not 1 <= v <= n:
+            yield "r({}) = {} outside [1, {}]", (n, v, n)
+    for n in range(2, len(values) + 1):
+        if values[n - 1] < values[n - 2]:
+            yield "r({}) = {} < r({}) = {}", (n, values[n - 1], n - 1, values[n - 2])
+
+
 def validate_rate(r: RateFunction) -> list[str]:
     """Violations of the validity conditions: 1 <= r(n) <= n, nondecreasing."""
-    out = []
-    for n, v in enumerate(r.values, start=1):
-        if not 1 <= v <= n:
-            out.append(f"r({n}) = {v} outside [1, {n}]")
-    for n in range(2, r.n_max + 1):
-        if r.values[n - 1] < r.values[n - 2]:
-            out.append(f"r({n}) = {r.values[n - 1]} < r({n - 1}) = {r.values[n - 2]}")
-    return out
+    return [template.format(*fields) for template, fields in _rate_violations(r.values)]
 
 
 def _admits(rn: int, n: int, k: int, eps: float) -> bool:
@@ -143,6 +136,8 @@ class TruncatedProcess:
     def components(self) -> tuple[PureRow, ...]:
         """``components[k-1]``: the copy X_{n_k} = X_k on {0,1}^(n_k) at its
         natural length, built on first read; padding beyond n_k is implicit."""
+        from .construction import PureRow
+
         return tuple(PureRow(cp.n, cp.k, (0.5,) * (cp.n - cp.k - 1) + (1.0,))
                      for cp in self.checkpoints)
 
@@ -180,10 +175,12 @@ def build_process(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if r.n_max < n_max:
         raise ValueError(f"rate table covers 1..{r.n_max}, need 1..{n_max}")
-    bad = validate_rate(r)
-    if bad:
-        more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
-        raise ValueError("invalid rate: " + "; ".join(bad[:8]) + more)
+    bad = _rate_violations(r.values)
+    shown = [template.format(*fields) for template, fields in itertools.islice(bad, 8)]
+    if shown:
+        rest = sum(1 for _ in bad)
+        more = f" (+{rest} more)" if rest else ""
+        raise ValueError("invalid rate: " + "; ".join(shown) + more)
     if eps is None:
         # checkpoint k needs a horizon n_k > k, so the loop below stops by
         # k = n_max at the latest
@@ -215,6 +212,8 @@ def delta_matrix(p: TruncatedProcess, n: int) -> np.ndarray:
     with each component's row, of its min(n, n_k) prefix, written into row k."""
     if not 1 <= n <= p.n_max:
         raise ValueError(f"n={n} outside 1..{p.n_max}")
+    import numpy as np
+
     delta = np.eye(n)
     for c in p.components[: n - 1]:  # component k lives on row k < n
         m = min(n, c.n)

@@ -488,3 +488,56 @@ class TestTopLevel:
         for name in ("mix", "construct", "rate", "bounds", "validate", "product",
                      "scan"):
             assert name in r.stdout
+
+
+class TestExitLines:
+    """Each exception ``main`` maps to an exit code, raised by an engine that
+    ``cli`` imports only inside the command, gives its code and stderr line."""
+
+    LINEAR = {"kind": "builtin", "name": "linear"}
+    RATE = {
+        "eps huge int": ({"rate": LINEAR, "k_max": 2, "n_max": 40, "eps": [10**400, 0.2]},
+                         2, "error: eps: int too large to convert to float\n"),
+        "eps null": ({"rate": LINEAR, "k_max": 2, "n_max": 40, "eps": [0.5, None]},
+                     2, "error: eps must be a list of numbers\n"),
+        "eps string": ({"rate": LINEAR, "k_max": 2, "n_max": 40, "eps": ["0.5", 0.2]},
+                       2, "error: eps must be a list of numbers\n"),
+        "invalid table": ({"rate": {"kind": "table", "values": [1, 2, 0, 4, 5]},
+                           "k_max": 1, "n_max": 5},
+                          2, "error: invalid rate: r(3) = 0 outside [1, 3]; "
+                             "r(3) = 0 < r(2) = 2\n"),
+        "table past the cap": ({"rate": LINEAR, "k_max": 1, "n_max": (1 << 24) + 1},
+                               3, "error: a rate table of 16777217 entries exceeds "
+                                  "the state cap 16777216\n"),
+        "horizon": ({"rate": LINEAR, "k_max": 10, "n_max": 20},
+                    5, "error: no horizon <= 20 admits checkpoint k=5 at "
+                       "eps=0.16666666666666666; n_max >= 110 suffices\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(RATE))
+    def test_rate(self, tmp_path, case, capsys):
+        spec, code, line = self.RATE[case]
+        path, out = tmp_path / "spec.json", tmp_path / "cp.csv"
+        path.write_text(json.dumps(spec))
+        assert main(["rate", str(path), "-o", str(out)]) == code
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
+    def test_state_cap(self, tmp_path, capsys):
+        m = str(tmp_path / "m.json")
+        write_measure(m, copy_chain(3))
+        assert main(["mix", m, "-o", str(tmp_path / "h.json"), "--state-cap", "4"]) == 3
+        assert capsys.readouterr().err == "error: q**n = 2**3 exceeds the state cap 4\n"
+
+    def test_invalid_target(self, tmp_path, capsys):
+        bad = str(tmp_path / "bad.json")
+        write_matrix(bad, MixingMatrix([[0.0, 0.2, 0.5], [0.0, 0.0, 0.1], [0.0] * 3]))
+        assert main(["construct", bad, "-o", str(tmp_path / "pm.json")]) == 4
+        violation = "row-increase at (1,3): 0.5 exceeds 0.2 at (1,2)"
+        assert capsys.readouterr().err == (
+            f"error: invalid mixing target: {violation}\n{violation}\n")
+
+    def test_solve_error(self, tmp_path, target_file, monkeypatch, capsys):
+        monkeypatch.setattr(construction, "_flip_solve", lambda tail, target: 1.0)
+        assert main(["construct", target_file, "-o", str(tmp_path / "pm.json")]) == 6
+        assert capsys.readouterr().err == "error: cell (1,3) missed its target by 6.000e-01\n"
