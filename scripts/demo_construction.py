@@ -5,7 +5,6 @@ the result two ways: from the factored components and by brute force on the
 materialized joint.
 """
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +17,11 @@ from etamix import (
 )
 
 
-@dataclass
-class Config:
-    n: int = 4
-    seed: int = 0
-
-
-def random_target(cfg: Config) -> MixingMatrix:
-    rng = np.random.default_rng(cfg.seed)
-    entries = np.zeros((cfg.n, cfg.n))
-    for i in range(cfg.n - 1):
-        entries[i, i + 1 :] = np.sort(rng.uniform(size=cfg.n - 1 - i))[::-1]
+def random_target(n: int, seed: int) -> MixingMatrix:
+    rng = np.random.default_rng(seed)
+    entries = np.zeros((n, n))
+    for i in range(n - 1):
+        entries[i, i + 1 :] = np.sort(rng.uniform(size=n - 1 - i))[::-1]
     return MixingMatrix(entries)
 
 
@@ -41,10 +34,9 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=4, help="sequence length")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    cfg = Config(n=args.n, seed=args.seed)
 
-    target = random_target(cfg)
-    print(f"target matrix (n={cfg.n}, seed={cfg.seed}):")
+    target = random_target(args.n, args.seed)
+    print(f"target matrix (n={args.n}, seed={args.seed}):")
     print(fmt(target.entries))
 
     pm, traces = construct_from_target(target)

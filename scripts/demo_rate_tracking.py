@@ -6,26 +6,18 @@ checkpoint horizons: R(n) = 1 + max{n_j - j : n_j <= n}, one pass over
 n = 1..n_max and the checkpoints together.
 """
 import argparse
-from dataclasses import dataclass
 
 from etamix import RateFunction, build_process, check_checkpoints
 
 
-@dataclass
-class Config:
-    rate: str = "sqrt"
-    k_max: int = 5
-    n_max: int = 32
-
-
-def make_rate(cfg: Config) -> RateFunction:
-    if cfg.rate == "sqrt":
-        return RateFunction.sqrt(cfg.n_max)
-    if cfg.rate == "linear":
-        return RateFunction.linear(cfg.n_max)
-    if cfg.rate.startswith("const:"):
-        return RateFunction.constant(int(cfg.rate.split(":", 1)[1]), cfg.n_max)
-    raise SystemExit(f"unknown rate {cfg.rate!r} (sqrt, linear, const:<c>)")
+def make_rate(rate: str, n_max: int) -> RateFunction:
+    if rate == "sqrt":
+        return RateFunction.sqrt(n_max)
+    if rate == "linear":
+        return RateFunction.linear(n_max)
+    if rate.startswith("const:"):
+        return RateFunction.constant(int(rate.split(":", 1)[1]), n_max)
+    raise SystemExit(f"unknown rate {rate!r} (sqrt, linear, const:<c>)")
 
 
 def main() -> None:
@@ -34,12 +26,11 @@ def main() -> None:
     ap.add_argument("--k-max", type=int, default=5)
     ap.add_argument("--n-max", type=int, default=32)
     args = ap.parse_args()
-    cfg = Config(rate=args.rate, k_max=args.k_max, n_max=args.n_max)
 
-    r = make_rate(cfg)
-    p = build_process(r, k_max=cfg.k_max, n_max=cfg.n_max)
+    r = make_rate(args.rate, args.n_max)
+    p = build_process(r, k_max=args.k_max, n_max=args.n_max)
 
-    print(f"checkpoints ({cfg.rate} rate, k_max={cfg.k_max}, n_max={cfg.n_max}):")
+    print(f"checkpoints ({args.rate} rate, k_max={args.k_max}, n_max={args.n_max}):")
     print("  k  eps_k   n_k  ratio    pass")
     for rep in check_checkpoints(p):
         print(
@@ -50,7 +41,7 @@ def main() -> None:
     print("\nrealized rate profile:")
     print("   n  r(n)  R(n)")
     cps, j, top = p.checkpoints, 0, 0
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         while j < len(cps) and cps[j].n <= n:
             top = max(top, cps[j].n - cps[j].k)
             j += 1

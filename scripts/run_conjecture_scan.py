@@ -5,21 +5,11 @@ coefficients (lhs) against one plus the largest row sum of the coefficient
 matrix (rhs) and reports any measure where lhs exceeds rhs.
 """
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
 from etamix import conjecture_scan, random_measure
 from etamix.fileio import write_scan
-
-
-@dataclass
-class Config:
-    count: int = 200
-    q: int = 2
-    n: int = 4
-    seed: int = 0
-    output: str | None = None
 
 
 def main() -> None:
@@ -30,16 +20,15 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("-o", "--output", help="also write the rows as CSV")
     args = ap.parse_args()
-    cfg = Config(args.count, args.q, args.n, args.seed, args.output)
 
-    rng = np.random.default_rng(cfg.seed)
-    mus = [random_measure(cfg.q, cfg.n, rng=rng) for _ in range(cfg.count)]
+    rng = np.random.default_rng(args.seed)
+    mus = [random_measure(args.q, args.n, rng=rng) for _ in range(args.count)]
     rows = conjecture_scan(mus)
 
     margins = [r.rhs - r.lhs for r in rows]
     bad = [r for r in rows if not r.satisfied]
     print(
-        f"{cfg.count} measures (q={cfg.q}, n={cfg.n}, seed={cfg.seed}): "
+        f"{args.count} measures (q={args.q}, n={args.n}, seed={args.seed}): "
         f"{len(bad)} violations"
     )
     print(f"margin rhs - lhs: min {min(margins):.4f}, "
@@ -47,9 +36,9 @@ def main() -> None:
     for r in bad:
         print(f"  violation at measure {r.measure_id}: lhs={r.lhs} rhs={r.rhs}")
 
-    if cfg.output:
-        write_scan(cfg.output, rows)
-        print(f"wrote {cfg.output}")
+    if args.output:
+        write_scan(args.output, rows)
+        print(f"wrote {args.output}")
 
 
 if __name__ == "__main__":

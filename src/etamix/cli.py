@@ -1,15 +1,13 @@
 """Command line entry points.
 
 Subcommands: mix, construct, rate, bounds, validate, product, scan.  Exit
-codes: 0 success, 1 failed checkpoint audit, 2 unreadable or malformed
-input or an output that cannot be written, 3 state cap exceeded, 4 invalid
-mixing target, 5 rate horizon too small, 6 a SolveError alone, a solved
-cell off its target by more than SOLVE_TOL (1e-12): ``construct`` solves
-each flip probability exactly from the cell's piecewise-linear closed form,
-in O(|T| log |T|) per position for a tail law of |T| atoms, audits every
-cell and prints its trace's worst miss.  Output files are written
-atomically and depend only on the inputs and the seed, so reruns are
-byte-identical.  Each command imports the engine it runs when it runs, so
+codes: 0 success, 1 failed checkpoint audit; a failure exits as
+:mod:`etamix.errors` states, with the ``exit_code`` of its exception (2
+for any other ValueError).  ``construct`` solves each flip probability
+exactly from the cell's piecewise-linear closed form, in O(|T| log |T|)
+per position for a tail law of |T| atoms, audits every cell and prints its
+trace's worst miss.  Output files are written atomically and depend only
+on the inputs and the seed, so reruns are byte-identical.  Each command imports the engine it runs when it runs, so
 ``rate``, ``--help`` and ``--version`` never load numpy.
 """
 from __future__ import annotations
@@ -18,22 +16,11 @@ import argparse
 import sys
 
 from . import fileio
-from .errors import (
-    DEFAULT_STATE_CAP,
-    HorizonTooSmall,
-    SolveError,
-    StateCapExceeded,
-    TargetInvalid,
-)
+from .errors import DEFAULT_STATE_CAP, FileFormatError, SolveError, TargetInvalid
 from .process import build_process, check_checkpoints
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_PARSE = 2
-EXIT_STATE_CAP = 3
-EXIT_BAD_TARGET = 4
-EXIT_HORIZON = 5
-EXIT_SOLVE = 6
 
 
 def _cmd_mix(args) -> int:
@@ -90,7 +77,7 @@ def _cmd_validate(args) -> int:
         return EXIT_OK
     for v in violations:
         print(str(v))
-    return EXIT_BAD_TARGET
+    return TargetInvalid.exit_code
 
 
 def _cmd_product(args) -> int:
@@ -111,7 +98,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_scan(args) -> int:
     if args.count < 1:
-        raise fileio.FileFormatError(f"--count must be >= 1, got {args.count}")
+        raise FileFormatError(f"--count must be >= 1, got {args.count}")
     import numpy as np
 
     from .measures import SeqSpace, random_measure
@@ -192,26 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except fileio.FileFormatError as exc:
+    except (ValueError, SolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StateCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATE_CAP
-    except TargetInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for v in exc.violations:
+        for v in getattr(exc, "violations", ()):
             print(str(v), file=sys.stderr)
-        return EXIT_BAD_TARGET
-    except HorizonTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except SolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return getattr(exc, "exit_code", FileFormatError.exit_code)
 
 
 if __name__ == "__main__":

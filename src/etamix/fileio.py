@@ -259,15 +259,16 @@ def _parse_product_obj(obj: dict, state_cap: int | None) -> ProductMeasure:
 
 
 def read_process_spec(path: str):
-    """Returns (RateFunction, k_max, n_max, eps-or-None)."""
+    """Returns (RateFunction, k_max, n_max, eps-or-None), checking JSON
+    shapes and types; RateFunction and build_process check the values."""
     obj = _load(path)
     try:
         k_max, n_max, rate = obj["k_max"], obj["n_max"], obj["rate"]
     except KeyError as exc:
         raise FileFormatError(f"process spec missing field {exc}") from exc
     k_max, n_max = _strict_int(k_max, "k_max"), _strict_int(n_max, "n_max")
-    if k_max < 1:
-        raise FileFormatError(f"k_max must be >= 1, got {k_max}")
+    # build_process checks this too, but a builtin rate tabulates n_max
+    # entries before it runs, and n_max <= 0 would read as an empty table
     if n_max < 2:
         raise FileFormatError(f"n_max must be >= 2, got {n_max}")
     if not isinstance(rate, dict):
@@ -275,12 +276,8 @@ def read_process_spec(path: str):
     kind = rate.get("kind")
     if kind == "table":
         values = rate.get("values")
-        if not isinstance(values, list) or not values:
+        if not isinstance(values, list):
             raise FileFormatError("table rate needs a nonempty values list")
-        if len(values) < n_max:
-            raise FileFormatError(
-                f"rate table has {len(values)} entries, need n_max={n_max}"
-            )
         r = RateFunction(tuple(_strict_int(v, "rate table value") for v in values))
     elif kind == "builtin":
         name = rate.get("name")
@@ -298,8 +295,6 @@ def read_process_spec(path: str):
     eps = obj.get("eps")
     if eps is not None:
         eps = tuple(_floats(eps, "eps"))
-        if len(eps) != k_max:
-            raise FileFormatError(f"eps must be a list of {k_max} numbers")
     return r, k_max, n_max, eps
 
 

@@ -25,12 +25,12 @@ construction engine, so building and auditing a process is pure Python.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_STATE_CAP, HorizonTooSmall, StateCapExceeded
+from .errors import DEFAULT_STATE_CAP, HorizonTooSmall, StateCapExceeded, summarize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +40,13 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Tabulated integer rate r(1), ..., r(n_max)."""
+    """Tabulated integer rate r(1), ..., r(n_max).  Values must be integers
+    (numpy integers included); a float or a string is a TypeError."""
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
         if not self.values:
             raise ValueError("rate table is empty")
 
@@ -64,7 +65,7 @@ class RateFunction:
             raise StateCapExceeded(
                 f"a rate table of {n_max} entries exceeds the state cap {DEFAULT_STATE_CAP}"
             )
-        return cls(tuple(int(fn(n)) for n in range(1, n_max + 1)))
+        return cls(tuple(map(fn, range(1, n_max + 1))))
 
     @classmethod
     def sqrt(cls, n_max: int) -> "RateFunction":
@@ -175,12 +176,9 @@ def build_process(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if r.n_max < n_max:
         raise ValueError(f"rate table covers 1..{r.n_max}, need 1..{n_max}")
-    bad = _rate_violations(r.values)
-    shown = [template.format(*fields) for template, fields in itertools.islice(bad, 8)]
+    shown = summarize(_rate_violations(r.values), lambda v: v[0].format(*v[1]))
     if shown:
-        rest = sum(1 for _ in bad)
-        more = f" (+{rest} more)" if rest else ""
-        raise ValueError("invalid rate: " + "; ".join(shown) + more)
+        raise ValueError("invalid rate: " + shown)
     if eps is None:
         # checkpoint k needs a horizon n_k > k, so the loop below stops by
         # k = n_max at the latest
@@ -245,14 +243,15 @@ class CheckpointReport:
     passed: bool
 
 
-def check_checkpoints(p: TruncatedProcess, tol: float = 1e-9) -> list[CheckpointReport]:
-    """Audit every checkpoint: ratio must land in [1 - eps_k, 1 + tol].
+def check_checkpoints(p: TruncatedProcess) -> list[CheckpointReport]:
+    """Audit every checkpoint: ratio must land in [1 - eps_k, 1].
 
     Reads the horizons alone, nondecreasing as build_process makes them.
     At n_k every j <= k has n_j <= n_k and adds a row of n_j - j ones; a
     later j adds nothing if n_j > n_k and only n_k - j < n_k - k if
     n_j = n_k.  So R(n_k) - 1 is the running max of n_j - j over j <= k,
-    which rate_R(p, n_k) - 1 equals bit for bit.
+    which rate_R(p, n_k) - 1 equals bit for bit.  ratio divides that
+    integer by r(n_k), both far below 2^53, so ratio <= 1 is exact.
     """
     out = []
     top = 0
@@ -263,7 +262,7 @@ def check_checkpoints(p: TruncatedProcess, tol: float = 1e-9) -> list[Checkpoint
         out.append(
             CheckpointReport(
                 cp.k, cp.eps, cp.n, ratio, (1 + top) / rn,
-                1.0 - cp.eps <= ratio <= 1.0 + tol,
+                1.0 - cp.eps <= ratio <= 1.0,
             )
         )
     return out

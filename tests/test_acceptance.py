@@ -200,7 +200,7 @@ def test_criterion_6_rate_tracking():
     t0 = time.perf_counter()
     n_max = 64
     p = build_process(RateFunction.sqrt(n_max), k_max=5, n_max=n_max)
-    reports = check_checkpoints(p, tol=1e-9)
+    reports = check_checkpoints(p)
     ratios_ok = all(r.passed for r in reports)
     rs = [rate_R(p, n) for n in range(1, n_max + 1)]
     monotone = all(a <= b + 1e-12 for a, b in zip(rs, rs[1:]))

@@ -502,6 +502,9 @@ class TestExitLines:
                      2, "error: eps must be a list of numbers\n"),
         "eps string": ({"rate": LINEAR, "k_max": 2, "n_max": 40, "eps": ["0.5", 0.2]},
                        2, "error: eps must be a list of numbers\n"),
+        "eps not decreasing": ({"rate": LINEAR, "k_max": 2, "n_max": 40, "eps": [0.2, 0.5]},
+                               2, "error: eps values must be strictly decreasing, "
+                                  "got (0.2, 0.5)\n"),
         "invalid table": ({"rate": {"kind": "table", "values": [1, 2, 0, 4, 5]},
                            "k_max": 1, "n_max": 5},
                           2, "error: invalid rate: r(3) = 0 outside [1, 3]; "

@@ -20,6 +20,7 @@ from etamix import (
     random_measure,
     uniform,
 )
+from etamix.cli import main
 from etamix.construction import SOLVE_TOL
 from etamix.fileio import (
     FORMAT_VERSION,
@@ -224,6 +225,14 @@ class TestProcessSpec:
         atomic_write(p, json.dumps(obj))
         return p
 
+    def _rate_exits_2(self, tmp_path, capsys, obj, message):
+        """The spec reads, and build_process refuses it: `rate` exits 2 with
+        one stderr line and writes no report."""
+        out = tmp_path / "cp.csv"
+        assert main(["rate", self._write(tmp_path, obj), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_builtin_sqrt(self, tmp_path):
         p = self._write(
             tmp_path, {"rate": {"kind": "builtin", "name": "sqrt"},
@@ -251,13 +260,12 @@ class TestProcessSpec:
         assert r.values == (1, 2, 2, 3)
         assert eps == (0.5, 0.25)
 
-    def test_table_shorter_than_horizon_rejected(self, tmp_path):
-        p = self._write(
-            tmp_path,
+    def test_table_shorter_than_horizon_rejected(self, tmp_path, capsys):
+        self._rate_exits_2(
+            tmp_path, capsys,
             {"rate": {"kind": "table", "values": [1, 2]}, "k_max": 1, "n_max": 4},
+            "rate table covers 1..2, need 1..4",
         )
-        with pytest.raises(FileFormatError):
-            read_process_spec(p)
 
     def test_unknown_kind_rejected(self, tmp_path):
         p = self._write(
@@ -266,22 +274,20 @@ class TestProcessSpec:
         with pytest.raises(FileFormatError):
             read_process_spec(p)
 
-    def test_bad_k_max_rejected(self, tmp_path):
-        p = self._write(
-            tmp_path,
+    def test_bad_k_max_rejected(self, tmp_path, capsys):
+        self._rate_exits_2(
+            tmp_path, capsys,
             {"rate": {"kind": "builtin", "name": "sqrt"}, "k_max": 0, "n_max": 4},
+            "k_max must be >= 1, got 0",
         )
-        with pytest.raises(FileFormatError):
-            read_process_spec(p)
 
-    def test_eps_length_mismatch_rejected(self, tmp_path):
-        p = self._write(
-            tmp_path,
+    def test_eps_length_mismatch_rejected(self, tmp_path, capsys):
+        self._rate_exits_2(
+            tmp_path, capsys,
             {"rate": {"kind": "builtin", "name": "sqrt"},
              "k_max": 2, "n_max": 6, "eps": [0.5]},
+            "need 2 eps values, got 1",
         )
-        with pytest.raises(FileFormatError):
-            read_process_spec(p)
 
 
 class TestReports:

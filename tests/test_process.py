@@ -52,6 +52,13 @@ class TestRateFunction:
         with pytest.raises(ValueError):
             RateFunction(())
 
+    def test_values_must_be_integers(self):
+        # int() used to truncate 2.7 to 2 and parse "2"
+        for bad in (2.7, "2"):
+            with pytest.raises(TypeError):
+                RateFunction((1, bad))
+        assert RateFunction(np.arange(1, 4)).values == (1, 2, 3)
+
     def test_builtins_are_valid(self):
         for r in (RateFunction.sqrt(30), RateFunction.linear(30),
                   RateFunction.constant(4, 30)):
