@@ -21,7 +21,7 @@ from etamix import (
     uniform,
 )
 from etamix.cli import main
-from etamix.construction import SOLVE_TOL
+from etamix.construction import SOLVE_TOL, ConstructionTrace, TraceStep
 from etamix.fileio import (
     FORMAT_VERSION,
     FileFormatError,
@@ -37,10 +37,16 @@ from etamix.fileio import (
     read_product,
     scan_csv,
     traces_to_json,
+    write_bounds,
+    write_checkpoints,
     write_matrix,
     write_measure,
     write_product,
+    write_scan,
+    write_traces,
 )
+from etamix.mixing import ConjectureRow
+from etamix.process import CheckpointReport
 
 from helpers import copy_chain
 
@@ -327,3 +333,140 @@ class TestReports:
         lines = text.splitlines()
         assert lines[1] == "measure_id,n,q,lhs,rhs,satisfied"
         assert lines[2] == "0,2,2,0,1,true"
+
+
+def _construct_n1():
+    from etamix import construct_from_target
+
+    return construct_from_target(MixingMatrix.zeros(1))
+
+
+#: (file kind, writer of small fixed inputs, the file's whole text with
+#: <version> for FORMAT_VERSION): every byte of each layout, including
+#: -0.0, 17-digit floats, a 2-D matrix and construct's empty n = 1 trace list.
+LAYOUTS = [
+    ("measure", lambda p: write_measure(p, from_weights(SeqSpace(3, 1), [-0.0, 1.0, 2.0])),
+     """{
+  "version": "<version>",
+  "q": 3,
+  "n": 1,
+  "probs": [-0, 0.33333333333333331, 0.66666666666666663]
+}
+"""),
+    ("matrix", lambda p: write_matrix(p, MixingMatrix(
+        [[-0.0, 0.5, 1 / 3], [0.0, 0.0, 0.25], [0.0, 0.0, 0.0]])),
+     """{
+  "version": "<version>",
+  "n": 3,
+  "entries": [
+    [-0, 0.5, 0.33333333333333331],
+    [0, 0, 0.25],
+    [0, 0, 0]
+  ]
+}
+"""),
+    ("product", lambda p: write_product(p, ProductMeasure(
+        (from_weights(SeqSpace(2, 1), [1.0, 2.0]), uniform(3, 1)))),
+     """{
+  "version": "<version>",
+  "n": 1,
+  "components": [
+    {
+      "q": 2,
+      "n": 1,
+      "probs": [0.33333333333333331, 0.66666666666666663]
+    },
+    {
+      "q": 3,
+      "n": 1,
+      "probs": [0.33333333333333331, 0.33333333333333331, 0.33333333333333331]
+    }
+  ]
+}
+"""),
+    ("product_n1", lambda p: write_product(p, _construct_n1()[0]),
+     """{
+  "version": "<version>",
+  "n": 1,
+  "components": [
+    {
+      "q": 2,
+      "n": 1,
+      "probs": [0.5, 0.5]
+    }
+  ]
+}
+"""),
+    ("traces", lambda p: write_traces(p, [
+        ConstructionTrace(1, (TraceStep(2, 0.75, 0.5, -0.0),
+                              TraceStep(3, 1 / 3, 0.25, 5e-17))),
+        ConstructionTrace(2, (TraceStep(3, 1.0, 0.0, 0.0),)),
+    ]),
+     """{
+  "version": "<version>",
+  "components": [
+    {
+      "k": 1,
+      "steps": [
+        {"t": 2, "v_star": 0.75, "achieved": 0.5, "residual": -0},
+        {"t": 3, "v_star": 0.33333333333333331, "achieved": 0.25, "residual": 4.9999999999999999e-17}
+      ]
+    },
+    {
+      "k": 2,
+      "steps": [
+        {"t": 3, "v_star": 1, "achieved": 0, "residual": 0}
+      ]
+    }
+  ]
+}
+"""),
+    ("traces_n1", lambda p: write_traces(p, _construct_n1()[1]),
+     """{
+  "version": "<version>",
+  "components": [
+
+  ]
+}
+"""),
+    ("bounds", lambda p: write_bounds(p, {
+        "t": 1 / 3, "norm_inf": 1.0, "norm_2": 0.5, "samson": -0.0,
+        "kontram_inf": 2e-300, "kontram_2": 1.0}),
+     """{
+  "version": "<version>",
+  "t": 0.33333333333333331,
+  "norm_inf": 1,
+  "norm_2": 0.5,
+  "samson": -0,
+  "kontram_inf": 2.0000000000000001e-300,
+  "kontram_2": 1
+}
+"""),
+    ("checkpoints", lambda p: write_checkpoints(p, [
+        CheckpointReport(1, 0.5, 2, 0.5, 1.0, True),
+        CheckpointReport(2, 1 / 3, 5, 0.25, 0.5, False),
+    ]),
+     """# <version>
+k,eps_k,n_k,h_k,ratio,pass
+1,0.5,2,1,0.5,true
+2,0.33333333333333331,5,1,0.25,false
+"""),
+    ("scan", lambda p: write_scan(p, [
+        ConjectureRow(0, 2, 2, 0.0, 1.0, True),
+        ConjectureRow(1, 3, 3, 4 / 3, 1 / 3, False),
+    ]),
+     """# <version>
+measure_id,n,q,lhs,rhs,satisfied
+0,2,2,0,1,true
+1,3,3,1.3333333333333333,0.33333333333333331,false
+"""),
+]
+
+
+@pytest.mark.parametrize(
+    "write, expected", [pytest.param(w, e, id=kind) for kind, w, e in LAYOUTS]
+)
+def test_file_layout(tmp_path, write, expected):
+    p = tmp_path / "out"
+    write(str(p))
+    assert p.read_bytes() == expected.replace("<version>", FORMAT_VERSION).encode()
