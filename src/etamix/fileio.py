@@ -1,9 +1,14 @@
 """File formats: JSON for measures, matrices, products, traces and bounds,
 CSV for checkpoint and scan reports.
 
-Writers are deterministic byte for byte: floats are emitted with 17
-significant digits and every file starts with (or contains) the format
-version tag.  Files are written atomically via a temp file and rename.
+Every JSON file is ``{"version", **fields}`` laid out by one rule
+(:func:`_json_chunks`), and every CSV file is a version comment, a header
+and one line per row (:func:`_write_csv`).  Writers are deterministic byte
+for byte: floats are emitted with 17 significant digits.  The text is
+streamed chunk by chunk into a temp file that is then renamed over the
+output, so a writer holds at most one array's text in memory and readers
+never see a partial file.
+
 Measure readers renormalize atom vectors whose sum drifted by less than
 1e-9 and reject anything worse.  numpy and the array modules are imported
 by the readers and writers of arrays when they run; process specs and
@@ -13,7 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from collections.abc import Iterable
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -58,6 +64,14 @@ def _floats(xs, what: str) -> list[float]:
         raise FileFormatError(f"{what}: {exc}") from exc
 
 
+def _fields(obj: dict, what: str, *names: str) -> list:
+    """obj's values at names; a missing one is a FileFormatError."""
+    try:
+        return [obj[k] for k in names]
+    except KeyError as exc:
+        raise FileFormatError(f"{what} missing field {exc}") from exc
+
+
 def _numbers(xs, what: str) -> np.ndarray:
     """:func:`_floats` as a float64 array."""
     import numpy as np
@@ -65,8 +79,23 @@ def _numbers(xs, what: str) -> np.ndarray:
     return np.asarray(_floats(xs, what), dtype=np.float64)
 
 
-def _fmt(x: float) -> str:
+def _scalar(x) -> str:
+    """x as JSON and CSV text: true/false, integers as digits, strings
+    quoted, other numbers at 17 significant digits.  A numpy scalar is
+    formatted as its Python value."""
+    if hasattr(x, "item"):
+        x = x.item()
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return json.dumps(x)
     return format(float(x), ".17g")
+
+
+def _is_scalar(x) -> bool:
+    return not isinstance(x, (dict, list)) and getattr(x, "ndim", 0) == 0
 
 
 def _float_list(xs: np.ndarray) -> str:
@@ -86,15 +115,58 @@ def _float_list(xs: np.ndarray) -> str:
     return "[" + ", ".join([text[i] for i in where.tolist()]) + "]"
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text then rename, so readers never observe partial files.  An
-    OSError becomes a FileFormatError "cannot write", and no temp file stays."""
+def _json_chunks(x, pad: str):
+    """x's JSON text in chunks, x's closing bracket at indent pad.
+
+    Each object key goes on its own line two spaces deeper than its braces,
+    except that an object of scalars inside a list takes one line; a 1-D
+    array is one :func:`_float_list` line; any other list or 2-D array puts
+    one item per line.  Arrays are told by ``ndim``, so a file without
+    arrays needs no numpy.
+    """
+    inner = pad + "  "
+    if isinstance(x, dict):
+        sep = "{"
+        for k, v in x.items():
+            yield f'{sep}\n{inner}"{k}": '
+            yield from _json_chunks(v, inner)
+            sep = ","
+        yield f"\n{pad}}}"
+    elif getattr(x, "ndim", 0) == 1:
+        yield _float_list(x)
+    elif not _is_scalar(x):
+        yield "[\n"
+        for i, item in enumerate(x):
+            yield ",\n" + inner if i else inner
+            if isinstance(item, dict) and all(map(_is_scalar, item.values())):
+                yield "{" + ", ".join(f'"{k}": {_scalar(v)}' for k, v in item.items()) + "}"
+            else:
+                yield from _json_chunks(item, inner)
+        yield f"\n{pad}]"
+    else:
+        yield _scalar(x)
+
+
+def _write_json(path: str, fields: dict) -> None:
+    atomic_write(path, chain(_json_chunks({"version": FORMAT_VERSION, **fields}, ""), "\n"))
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    lines = (",".join(map(_scalar, row)) + "\n" for row in rows)
+    atomic_write(path, chain([f"# {FORMAT_VERSION}\n{header}\n"], lines))
+
+
+def atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks (or one string) to a temp file, then rename it over
+    path, so readers never observe partial files.  An OSError becomes a
+    FileFormatError "cannot write", and no temp file stays."""
     d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+        fh = open(tmp, "x")  # a new file (O_EXCL) of mode 0o666 less the umask
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            with fh:
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -108,20 +180,12 @@ def atomic_write(path: str, text: str) -> None:
 # measures
 
 
-def _measure_body(mu: FiniteMeasure, indent: str) -> str:
-    return (
-        f'{indent}"q": {mu.q},\n'
-        f'{indent}"n": {mu.n},\n'
-        f'{indent}"probs": {_float_list(mu.probs)}'
-    )
-
-
-def measure_to_json(mu: FiniteMeasure) -> str:
-    return '{\n  "version": "%s",\n%s\n}\n' % (FORMAT_VERSION, _measure_body(mu, "  "))
+def _measure_fields(mu: FiniteMeasure) -> dict:
+    return {"q": mu.q, "n": mu.n, "probs": mu.probs}
 
 
 def write_measure(path: str, mu: FiniteMeasure) -> None:
-    atomic_write(path, measure_to_json(mu))
+    _write_json(path, _measure_fields(mu))
 
 
 def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
@@ -131,10 +195,7 @@ def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
 
     if not isinstance(obj, dict):
         raise FileFormatError("measure object must be a JSON object")
-    try:
-        q, n, probs = obj["q"], obj["n"], obj["probs"]
-    except KeyError as exc:
-        raise FileFormatError(f"measure object missing field {exc}") from exc
+    q, n, probs = _fields(obj, "measure object", "q", "n", "probs")
     q, n = _strict_int(q, "q"), _strict_int(n, "n")
     v = _numbers(probs, "probs")
     kwargs = {} if state_cap is None else {"state_cap": int(state_cap)}
@@ -174,16 +235,8 @@ def read_measure(path: str, state_cap: int | None = None) -> FiniteMeasure:
 # mixing matrices
 
 
-def matrix_to_json(h: MixingMatrix) -> str:
-    rows = ",\n".join("    " + _float_list(row) for row in h.entries)
-    return (
-        '{\n  "version": "%s",\n  "n": %d,\n  "entries": [\n%s\n  ]\n}\n'
-        % (FORMAT_VERSION, h.n, rows)
-    )
-
-
 def write_matrix(path: str, h: MixingMatrix) -> None:
-    atomic_write(path, matrix_to_json(h))
+    _write_json(path, {"n": h.n, "entries": h.entries})
 
 
 def read_matrix(path: str) -> MixingMatrix:
@@ -191,11 +244,7 @@ def read_matrix(path: str) -> MixingMatrix:
 
     from .mixing import MixingMatrix
 
-    obj = _load(path)
-    try:
-        n, entries = obj["n"], obj["entries"]
-    except KeyError as exc:
-        raise FileFormatError(f"matrix file missing field {exc}") from exc
+    n, entries = _fields(_load(path), "matrix file", "n", "entries")
     n = _strict_int(n, "n")
     if (
         not isinstance(entries, list)
@@ -213,18 +262,8 @@ def read_matrix(path: str) -> MixingMatrix:
 # parallel products (kept factored)
 
 
-def product_to_json(pm: ProductMeasure) -> str:
-    comps = ",\n".join(
-        "    {\n%s\n    }" % _measure_body(c, "      ") for c in pm.components
-    )
-    return (
-        '{\n  "version": "%s",\n  "n": %d,\n  "components": [\n%s\n  ]\n}\n'
-        % (FORMAT_VERSION, pm.n, comps)
-    )
-
-
 def write_product(path: str, pm: ProductMeasure) -> None:
-    atomic_write(path, product_to_json(pm))
+    _write_json(path, {"n": pm.n, "components": [_measure_fields(c) for c in pm.components]})
 
 
 def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
@@ -232,15 +271,9 @@ def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
     from .products import ProductMeasure
 
     obj = _load(path)
-    if "components" in obj:
-        return _parse_product_obj(obj, state_cap)
-    return ProductMeasure((_parse_measure_obj(obj, state_cap),))
-
-
-def _parse_product_obj(obj: dict, state_cap: int | None) -> ProductMeasure:
-    from .products import ProductMeasure
-
-    comps = obj.get("components")
+    if "components" not in obj:
+        return ProductMeasure((_parse_measure_obj(obj, state_cap),))
+    comps = obj["components"]
     if not isinstance(comps, list) or not comps:
         raise FileFormatError("product file needs a nonempty components list")
     try:
@@ -262,10 +295,7 @@ def read_process_spec(path: str):
     """Returns (RateFunction, k_max, n_max, eps-or-None), checking JSON
     shapes and types; RateFunction and build_process check the values."""
     obj = _load(path)
-    try:
-        k_max, n_max, rate = obj["k_max"], obj["n_max"], obj["rate"]
-    except KeyError as exc:
-        raise FileFormatError(f"process spec missing field {exc}") from exc
+    k_max, n_max, rate = _fields(obj, "process spec", "k_max", "n_max", "rate")
     k_max, n_max = _strict_int(k_max, "k_max"), _strict_int(n_max, "n_max")
     # build_process checks this too, but a builtin rate tabulates n_max
     # entries before it runs, and n_max <= 0 would read as an empty table
@@ -302,61 +332,26 @@ def read_process_spec(path: str):
 # traces, bounds, CSV reports
 
 
-def traces_to_json(traces: list[ConstructionTrace]) -> str:
-    comps = []
-    for tr in traces:
-        steps = ",\n".join(
-            '        {"t": %d, "v_star": %s, "achieved": %s, "residual": %s}'
-            % (s.t, _fmt(s.v_star), _fmt(s.achieved), _fmt(s.residual))
-            for s in tr.steps
-        )
-        comps.append(
-            '    {\n      "k": %d,\n      "steps": [\n%s\n      ]\n    }'
-            % (tr.k, steps)
-        )
-    return (
-        '{\n  "version": "%s",\n  "components": [\n%s\n  ]\n}\n'
-        % (FORMAT_VERSION, ",\n".join(comps))
-    )
-
-
 def write_traces(path: str, traces: list[ConstructionTrace]) -> None:
-    atomic_write(path, traces_to_json(traces))
-
-
-def bounds_to_json(report: dict) -> str:
-    keys = ("t", "norm_inf", "norm_2", "samson", "kontram_inf", "kontram_2")
-    body = ",\n".join(f'  "{k}": {_fmt(report[k])}' for k in keys)
-    return '{\n  "version": "%s",\n%s\n}\n' % (FORMAT_VERSION, body)
+    _write_json(path, {"components": [
+        {"k": tr.k, "steps": [
+            {"t": s.t, "v_star": s.v_star, "achieved": s.achieved, "residual": s.residual}
+            for s in tr.steps
+        ]}
+        for tr in traces
+    ]})
 
 
 def write_bounds(path: str, report: dict) -> None:
-    atomic_write(path, bounds_to_json(report))
-
-
-def checkpoint_csv(reports: list[CheckpointReport]) -> str:
-    lines = [f"# {FORMAT_VERSION}", "k,eps_k,n_k,h_k,ratio,pass"]
-    for r in reports:
-        lines.append(
-            f"{r.k},{_fmt(r.eps)},{r.n},1,{_fmt(r.ratio)},"
-            f"{'true' if r.passed else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+    keys = ("t", "norm_inf", "norm_2", "samson", "kontram_inf", "kontram_2")
+    _write_json(path, {k: report[k] for k in keys})
 
 
 def write_checkpoints(path: str, reports: list[CheckpointReport]) -> None:
-    atomic_write(path, checkpoint_csv(reports))
-
-
-def scan_csv(rows: list[ConjectureRow]) -> str:
-    lines = [f"# {FORMAT_VERSION}", "measure_id,n,q,lhs,rhs,satisfied"]
-    for r in rows:
-        lines.append(
-            f"{r.measure_id},{r.n},{r.q},{_fmt(r.lhs)},{_fmt(r.rhs)},"
-            f"{'true' if r.satisfied else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+    _write_csv(path, "k,eps_k,n_k,h_k,ratio,pass",
+               ((r.k, r.eps, r.n, 1, r.ratio, r.passed) for r in reports))
 
 
 def write_scan(path: str, rows: list[ConjectureRow]) -> None:
-    atomic_write(path, scan_csv(rows))
+    _write_csv(path, "measure_id,n,q,lhs,rhs,satisfied",
+               ((r.measure_id, r.n, r.q, r.lhs, r.rhs, r.satisfied) for r in rows))

@@ -27,16 +27,10 @@ from etamix.fileio import (
     FileFormatError,
     _float_list,
     atomic_write,
-    bounds_to_json,
-    checkpoint_csv,
-    matrix_to_json,
-    measure_to_json,
     read_matrix,
     read_measure,
     read_process_spec,
     read_product,
-    scan_csv,
-    traces_to_json,
     write_bounds,
     write_checkpoints,
     write_matrix,
@@ -51,6 +45,13 @@ from etamix.process import CheckpointReport
 from helpers import copy_chain
 
 
+def _written(tmp_path, write, obj) -> str:
+    """The text write(path, obj) leaves in a file."""
+    p = tmp_path / "written"
+    write(str(p), obj)
+    return p.read_text()
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         p = str(tmp_path / "out.txt")
@@ -63,6 +64,19 @@ class TestAtomicWrite:
         atomic_write(str(tmp_path / "out.txt"), "x\n")
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_mode_follows_umask(self, tmp_path):
+        # a fresh file and one written over both get 0o666 less the umask
+        p = str(tmp_path / "m.json")
+        old = os.umask(0o022)
+        try:
+            write_measure(p, uniform(2, 1))
+            fresh = os.stat(p).st_mode & 0o777
+            write_measure(p, uniform(2, 2))
+            overwritten = os.stat(p).st_mode & 0o777
+        finally:
+            os.umask(old)
+        assert (fresh, overwritten) == (0o644, 0o644)
+
 
 class TestMeasureRoundTrip:
     def test_probs_survive_bit_for_bit(self, tmp_path):
@@ -73,21 +87,21 @@ class TestMeasureRoundTrip:
         assert back.space == mu.space
         assert np.allclose(back.probs, mu.probs, atol=1e-15)
 
-    def test_serialization_is_deterministic(self):
+    def test_serialization_is_deterministic(self, tmp_path):
         mu = copy_chain(3)
-        assert measure_to_json(mu) == measure_to_json(mu)
+        assert _written(tmp_path, write_measure, mu) == _written(tmp_path, write_measure, mu)
 
-    def test_seventeen_digit_floats(self):
+    def test_seventeen_digit_floats(self, tmp_path):
         mu = from_weights(SeqSpace(2, 1), [1.0, 2.0])
-        assert "0.33333333333333331" in measure_to_json(mu)
+        assert "0.33333333333333331" in _written(tmp_path, write_measure, mu)
 
     def test_float_list_formats_every_value(self):
         xs = np.array([0.1, -0.0, 0.0, 0.1, 1 / 3, 5e-324, 1 / 3, 1e22, -0.0])
         for v in (xs, xs[::2], np.random.default_rng(4).random(50)):
             assert _float_list(v) == "[" + ", ".join(format(float(x), ".17g") for x in v) + "]"
 
-    def test_version_tag_present(self):
-        obj = json.loads(measure_to_json(uniform(2, 2)))
+    def test_version_tag_present(self, tmp_path):
+        obj = json.loads(_written(tmp_path, write_measure, uniform(2, 2)))
         assert obj["version"] == FORMAT_VERSION
 
     def test_small_drift_renormalized(self, tmp_path):
@@ -186,8 +200,8 @@ class TestMatrixRoundTrip:
         with pytest.raises(FileFormatError, match="must be an integer"):
             read_matrix(p)
 
-    def test_version_tag_present(self):
-        obj = json.loads(matrix_to_json(MixingMatrix.zeros(2)))
+    def test_version_tag_present(self, tmp_path):
+        obj = json.loads(_written(tmp_path, write_matrix, MixingMatrix.zeros(2)))
         assert obj["version"] == FORMAT_VERSION
 
 
@@ -297,12 +311,12 @@ class TestProcessSpec:
 
 
 class TestReports:
-    def test_traces_json_shape(self):
+    def test_traces_json_shape(self, tmp_path):
         from etamix import construct_from_target
 
         h = MixingMatrix([[0.0, 0.5], [0.0, 0.0]])
         _, traces = construct_from_target(h)
-        obj = json.loads(traces_to_json(traces))
+        obj = json.loads(_written(tmp_path, write_traces, traces))
         assert set(obj) == {"version", "components"}
         assert obj["version"] == FORMAT_VERSION
         (comp,) = obj["components"]
@@ -313,23 +327,23 @@ class TestReports:
         assert step["residual"] == step["achieved"] - 0.5
         assert abs(step["residual"]) <= SOLVE_TOL
 
-    def test_bounds_json_key_order(self):
+    def test_bounds_json_key_order(self, tmp_path):
         rep = bounds_report(MixingMatrix.zeros(2), 1.0)
-        text = bounds_to_json(rep)
+        text = _written(tmp_path, write_bounds, rep)
         obj = json.loads(text)
         assert list(obj) == ["version", "t", "norm_inf", "norm_2", "samson",
                              "kontram_inf", "kontram_2"]
 
-    def test_checkpoint_csv_layout(self):
+    def test_checkpoint_csv_layout(self, tmp_path):
         p = build_process(RateFunction.sqrt(12), k_max=2, n_max=12)
-        text = checkpoint_csv(check_checkpoints(p))
+        text = _written(tmp_path, write_checkpoints, check_checkpoints(p))
         lines = text.splitlines()
         assert lines[0] == f"# {FORMAT_VERSION}"
         assert lines[1] == "k,eps_k,n_k,h_k,ratio,pass"
         assert lines[2] == "1,0.5,2,1,0.5,true"
 
-    def test_scan_csv_layout(self):
-        text = scan_csv(conjecture_scan([uniform(2, 2)]))
+    def test_scan_csv_layout(self, tmp_path):
+        text = _written(tmp_path, write_scan, conjecture_scan([uniform(2, 2)]))
         lines = text.splitlines()
         assert lines[1] == "measure_id,n,q,lhs,rhs,satisfied"
         assert lines[2] == "0,2,2,0,1,true"
