@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cap(p):
         p.add_argument(
             "--state-cap", type=int, default=DEFAULT_STATE_CAP,
-            help="max dense states a measure may use (default 2**24)",
+            help="max dense states a measure may use (default %(default)s)",
         )
 
     p = sub.add_parser("mix", help="mixing matrix of a dense measure file")

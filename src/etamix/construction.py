@@ -23,7 +23,7 @@ r_b / s_b.  So v_t solves one linear equation, on the piece found by sorting
 the breakpoints, at O(|T| log |T|) with |T| <= 2^(solved positions).
 :func:`solve_row` returns the flip vector as a :class:`PureRow`, whose
 mixing matrix is closed-form too and is the one evaluation of a row's
-cells; its 2^n atoms cost one dense tilt per v_t != 1/2, built on read.
+cells; its 2^n atoms cost one dense tilt per v_t != 1/2, built on each read.
 :func:`pure_row_measure` (every solved position replayed as a dense tilt,
 eta_bar recorded on it) is the dense reference, and one cell's dense form is
 eta_bar(reweight(mu, k, t, v), k, t).
@@ -44,7 +44,6 @@ valid target matrix; see :func:`construct_from_target`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -101,10 +100,9 @@ class PureRow:
 
     X_1, ..., X_k are iid fair bits and, independently for each t > k, X_t
     equals X_k with probability ``v[t-k-1]``.  The mixing matrix and the
-    dense measure are both computed from v; the read interface of a
-    :class:`FiniteMeasure` (``q``, ``n``, ``space``, ``probs``,
-    ``tensor()``) is there for callers that want the atoms, which are built
-    on first access to ``probs``.
+    dense measure are both computed from v, and nothing else is kept.
+    ``q``, ``n`` and ``probs`` are the reads a product component needs;
+    ``probs`` builds the 2^n atoms of :meth:`dense` on every read.
     """
 
     n: int
@@ -117,11 +115,6 @@ class PureRow:
     @property
     def q(self) -> int:
         return 2
-
-    @property
-    def space(self) -> SeqSpace:
-        """The dense space {0,1}^n; raises StateCapExceeded past the cap."""
-        return SeqSpace(2, self.n)
 
     def row(self, m: int) -> np.ndarray:
         """Cells (k, k+1), ..., (k, m) of the length-m prefix's mixing matrix.
@@ -162,12 +155,9 @@ class PureRow:
                 mu = reweight(mu, self.k, t, v)
         return mu
 
-    @cached_property
+    @property
     def probs(self) -> np.ndarray:
         return self.dense().probs
-
-    def tensor(self) -> np.ndarray:
-        return self.probs.reshape((2,) * self.n)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def _scalar(x) -> str:
 
 
 def _is_scalar(x) -> bool:
-    return not isinstance(x, (dict, list)) and getattr(x, "ndim", 0) == 0
+    return isinstance(x, (str, int, float)) or getattr(x, "ndim", None) == 0
 
 
 def _float_list(xs: np.ndarray) -> str:
@@ -120,9 +120,10 @@ def _json_chunks(x, pad: str):
 
     Each object key goes on its own line two spaces deeper than its braces,
     except that an object of scalars inside a list takes one line; a 1-D
-    array is one :func:`_float_list` line; any other list or 2-D array puts
-    one item per line.  Arrays are told by ``ndim``, so a file without
-    arrays needs no numpy.
+    array is one :func:`_float_list` line; any other list, iterator or 2-D
+    array puts one item per line, reading an iterator's items as it writes
+    them.  Arrays are told by ``ndim``, so a file without arrays needs no
+    numpy.
     """
     inner = pad + "  "
     if isinstance(x, dict):
@@ -263,7 +264,9 @@ def read_matrix(path: str) -> MixingMatrix:
 
 
 def write_product(path: str, pm: ProductMeasure) -> None:
-    _write_json(path, {"n": pm.n, "components": [_measure_fields(c) for c in pm.components]})
+    """Components are read and written one at a time, so a PureRow's atoms
+    live only while its own text is formatted."""
+    _write_json(path, {"n": pm.n, "components": map(_measure_fields, pm.components)})
 
 
 def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:

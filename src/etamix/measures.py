@@ -101,10 +101,6 @@ class FiniteMeasure:
             raise ValueError("prob() wants a full-length sequence")
         return float(self.probs[self.space.index(seq)])
 
-    def tensor(self) -> np.ndarray:
-        """View of the atom vector as an n-axis tensor, one axis per position."""
-        return self.probs.reshape((self.space.q,) * self.space.n)
-
 
 def _as_space(space: SeqSpace | int, n: int | None) -> SeqSpace:
     if isinstance(space, SeqSpace):

@@ -14,9 +14,11 @@ per cell.  When at most one component is nonzero at each cell ("disjoint
 rows", as with pure-row components) the two sides collapse and the factored
 matrix is exact without materializing the joint.
 
-Components are FiniteMeasures or share their read interface; one with a
-``matrix()`` method (a :class:`~etamix.construction.PureRow`) supplies its
-own mixing matrix, so the factored matrix sweeps no dense measure for it.
+Components are FiniteMeasures or :class:`~etamix.construction.PureRow`
+flip vectors; both give ``q``, ``n`` and ``probs``, which is all a product
+file or :func:`materialize` reads.  A PureRow builds its atoms on each read
+of ``probs`` and keeps none, and its ``matrix()`` method supplies its own
+mixing matrix, so the factored matrix sweeps no dense measure for it.
 """
 from __future__ import annotations
 
@@ -25,15 +27,20 @@ from math import prod
 
 import numpy as np
 
+from .errors import DEFAULT_STATE_CAP
 from .measures import FiniteMeasure, SeqSpace, _frozen
 from .mixing import MixingMatrix, mixing_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class ProductMeasure:
-    """Parallel product of equal-length component measures, kept factored."""
+    """Parallel product of equal-length component measures, kept factored.
 
-    components: tuple  # FiniteMeasure or PureRow, see the module docstring
+    Each component is a FiniteMeasure or a PureRow; both give ``q``, ``n``
+    and ``probs``.
+    """
+
+    components: tuple
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -63,7 +70,7 @@ def series_product(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(space, np.outer(mu.probs, nu.probs).ravel())
 
 
-def materialize(pm: ProductMeasure, state_cap: int | None = None) -> FiniteMeasure:
+def materialize(pm: ProductMeasure, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure:
     """Dense joint measure of a parallel product on the packed alphabet.
 
     The packed symbol at each position is the mixed-radix combination of the
@@ -71,14 +78,11 @@ def materialize(pm: ProductMeasure, state_cap: int | None = None) -> FiniteMeasu
     than ``state_cap`` atoms.
     """
     n = pm.n
-    if state_cap is None:
-        state_cap = max(c.space.state_cap for c in pm.components)
     space = SeqSpace(pm.alphabet_size, n, state_cap)  # raises on cap breach
 
-    acc = pm.components[0].tensor()
-    q_acc = pm.components[0].q
-    for comp in pm.components[1:]:
-        outer = np.multiply.outer(acc, comp.tensor())
+    acc, q_acc = np.ones((1,) * n), 1  # one axis per position
+    for comp in pm.components:
+        outer = np.multiply.outer(acc, comp.probs.reshape((comp.q,) * n))
         # axes are (a_1..a_n, b_1..b_n); interleave to (a_1, b_1, a_2, b_2, ...)
         perm = [ax for pair in zip(range(n), range(n, 2 * n)) for ax in pair]
         q_acc *= comp.q

@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from etamix import (
     MixingMatrix,
     ProductMeasure,
+    PureRow,
     RateFunction,
     SeqSpace,
     StateCapExceeded,
@@ -15,11 +17,13 @@ from etamix import (
     check_checkpoints,
     build_process,
     conjecture_scan,
+    construct_from_target,
     from_weights,
     pure_row_measure,
     random_measure,
     uniform,
 )
+from etamix import fileio
 from etamix.cli import main
 from etamix.construction import SOLVE_TOL, ConstructionTrace, TraceStep
 from etamix.fileio import (
@@ -42,7 +46,7 @@ from etamix.fileio import (
 from etamix.mixing import ConjectureRow
 from etamix.process import CheckpointReport
 
-from helpers import copy_chain
+from helpers import copy_chain, random_valid_target
 
 
 def _written(tmp_path, write, obj) -> str:
@@ -205,7 +209,51 @@ class TestMatrixRoundTrip:
         assert obj["version"] == FORMAT_VERSION
 
 
+def _constructed(n: int, seed: int) -> ProductMeasure:
+    return construct_from_target(random_valid_target(n, np.random.default_rng(seed)))[0]
+
+
 class TestProductRoundTrip:
+    def test_one_component_of_atoms_alive_while_writing(self, tmp_path, monkeypatch):
+        pm = _constructed(10, seed=4)
+        arrays, alive = [], []
+        dense = PureRow.dense
+
+        def tracked_dense(self):
+            mu = dense(self)
+            arrays.append(weakref.ref(mu.probs))
+            return mu
+
+        def counted_float_list(xs):
+            alive.append(sum(r() is not None for r in arrays))
+            return _float_list(xs)
+
+        monkeypatch.setattr(PureRow, "dense", tracked_dense)
+        monkeypatch.setattr(fileio, "_float_list", counted_float_list)
+        write_product(str(tmp_path / "pm.json"), pm)
+        assert len(alive) == 9
+        assert max(alive) <= 1
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        pm = _constructed(4, seed=5)
+        p = tmp_path / "pm.json"
+        p.write_text("old\n")
+        partial = []
+        dense = PureRow.dense
+
+        def failing_dense(self):
+            if self.k == 2:
+                partial.extend(tmp_path.glob(".tmp-*.part"))
+                raise RuntimeError("component 2 failed")
+            return dense(self)
+
+        monkeypatch.setattr(PureRow, "dense", failing_dense)
+        with pytest.raises(RuntimeError, match="component 2 failed"):
+            write_product(str(p), pm)
+        assert partial  # the stream failed after the temp file was opened
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["pm.json"]
+
     def test_components_survive(self, tmp_path):
         mu1, _ = pure_row_measure(3, ValidRow(3, 1, (0.8, 0.3)))
         mu2, _ = pure_row_measure(3, ValidRow(3, 2, (0.6,)))

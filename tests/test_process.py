@@ -282,7 +282,7 @@ class TestDeltaMatrix:
             delta_matrix(process, 13)
 
     def test_padding_matches_series_with_fair_bit(self, process):
-        comp = process.components[0]  # natural length 2
+        comp = process.components[0].dense()  # natural length 2
         padded = series_product(comp, uniform(2, 1))
         expected = np.zeros((3, 3))
         expected[:2, :2] = mixing_matrix(comp).entries
