@@ -83,13 +83,9 @@ def _cmd_validate(args) -> int:
 def _cmd_product(args) -> int:
     from .products import ProductMeasure, materialize
 
-    if len(args.measures) == 1:
-        pm = fileio.read_product(args.measures[0], state_cap=args.state_cap)
-    else:
-        comps = tuple(
-            fileio.read_measure(p, state_cap=args.state_cap) for p in args.measures
-        )
-        pm = ProductMeasure(comps)
+    pm = ProductMeasure(tuple(
+        c for p in args.measures for c in fileio.read_product(p, args.state_cap).components
+    ))
     joint = materialize(pm, state_cap=args.state_cap)
     fileio.write_measure(args.output, joint)
     print(f"wrote {args.output} (q={joint.q}, n={joint.n})")
@@ -157,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("product", help="materialize a parallel product into a dense measure")
-    p.add_argument("measures", nargs="+",
-                   help="measure files, or a single factored product file")
+    p.add_argument("measures", nargs="+", help="measure or product files")
     p.add_argument("-o", "--output", required=True)
     add_cap(p)
     p.set_defaults(fn=_cmd_product)

@@ -23,10 +23,10 @@ r_b / s_b.  So v_t solves one linear equation, on the piece found by sorting
 the breakpoints, at O(|T| log |T|) with |T| <= 2^(solved positions).
 :func:`solve_row` returns the flip vector as a :class:`PureRow`, whose
 mixing matrix is closed-form too and is the one evaluation of a row's
-cells; its 2^n atoms cost one dense tilt per v_t != 1/2, built on each read.
-:func:`pure_row_measure` (every solved position replayed as a dense tilt,
-eta_bar recorded on it) is the dense reference, and one cell's dense form is
-eta_bar(reweight(mu, k, t, v), k, t).
+cells.  Its 2^n atoms have one replay: the uniform measure tilted by
+:func:`reweight` at each t with v_t != 1/2, in visit order, and nowhere
+else.  :meth:`PureRow.dense` and the dense reference :func:`pure_row_measure`
+(which also records eta_bar after each visit) both run it, bit for bit.
 
 Ascending order, kept only in the dense pure_row_measure(order="forward")
 for demonstration, solves each cell as if the later positions were
@@ -55,6 +55,10 @@ from .products import ProductMeasure
 #: Audit bound on |achieved - target| for every solved cell, which the exact
 #: solve meets to a few float spacings.
 SOLVE_TOL = 1e-12
+
+#: Largest change of a conditional block law that
+#: :func:`check_conditional_preservation` counts as preserved.
+PRESERVATION_TOL = 1e-10
 
 
 def _unit_values(n: int, k: int, xs, what: str) -> tuple[float, ...]:
@@ -145,9 +149,9 @@ class PureRow:
         return out
 
     def dense(self) -> FiniteMeasure:
-        """The uniform measure tilted at each t with v_t != 1/2, from t = n down:
-        :func:`pure_row_measure` in its default order, up to the rounding of
-        an identity tilt it replays where a solve lands on v_t = 1/2."""
+        """The uniform measure tilted at each t with v_t != 1/2, from t = n
+        down: the measure :func:`pure_row_measure` returns in its default
+        order, bit for bit."""
         mu = uniform(SeqSpace(2, self.n))
         for t in range(self.n, self.k, -1):
             v = self.v[t - self.k - 1]
@@ -185,9 +189,10 @@ def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
         raise ValueError(f"need 1 <= k < t <= n, got k={k} t={t} n={mu.n}")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v!r} outside [0, 1]")
-    idx = np.arange(1 << mu.n)
-    agree = ((idx >> (mu.n - k)) & 1) == ((idx >> (mu.n - t)) & 1)
-    w = np.where(agree, v, 1.0 - v) * mu.probs
+    # axes (x_1..x_{k-1}, x_k, x_{k+1}..x_{t-1}, x_t, x_{t+1}..x_n)
+    blocks = mu.probs.reshape(1 << (k - 1), 2, 1 << (t - k - 1), 2, -1)
+    table = np.array([[v, 1.0 - v], [1.0 - v, v]])[:, None, :, None]
+    w = (table * blocks).reshape(-1)
     total = float(w.sum())
     if total <= 0.0:
         raise ValueError(f"reweighting with v={v!r} leaves no mass")
@@ -270,9 +275,7 @@ def solve_row(row: ValidRow) -> tuple[PureRow, tuple[TraceStep, ...]]:
     return pr, steps
 
 
-def pure_row_measure(
-    n: int, row: ValidRow, order: str = "backward", return_iterates: bool = False
-):
+def pure_row_measure(row: ValidRow, order: str = "backward", return_iterates: bool = False):
     """Binary measure on {0,1}^n whose mixing matrix is ``row`` on row k and
     zero elsewhere.
 
@@ -280,11 +283,12 @@ def pure_row_measure(
     list of intermediate measures when ``return_iterates`` is set.  The
     iterates let callers verify that each step preserved the conditional
     laws of the not-yet-visited future blocks.  The v's come from
-    :func:`solve_row`; each solved position is then replayed as one dense
-    tilt, and the trace records eta_bar on the tilted measure.  This is the
+    :func:`solve_row`; each visit tilts where v_t != 1/2, as
+    :meth:`PureRow.dense` does, so the measure is bit for bit the one it
+    builds, and the trace records eta_bar after each visit.  This is the
     dense sequential reference for :class:`PureRow`, not an engine path.
 
-    ``order="forward"``, the only place ascending order lives, tilts at
+    ``order="forward"``, the only place ascending order lives, takes
     v_t = (1 + h_t) / 2 from t = k+1 up: what solving each cell on untouched
     later positions picks.  It has no preservation guarantee and exists to
     demonstrate that the descending order is essential: it never undershoots
@@ -292,9 +296,7 @@ def pure_row_measure(
     o_t = (1 + h_t) / (1 - h_t) is at least the product of the later odds,
     prod_{s>t} o_s (see the module docstring).
     """
-    if row.n != n:
-        raise ValueError(f"row was built for n={row.n}, not n={n}")
-    k = row.k
+    n, k = row.n, row.k
     if order == "backward":
         ts, vs = range(n, k, -1), [s.v_star for s in solve_row(row)[1]]
     elif order == "forward":
@@ -306,8 +308,7 @@ def pure_row_measure(
     iterates = [mu]
     steps = []
     for t, v in zip(ts, vs):
-        # a flat segment keeps v = 1/2 untilted, as solve_row does
-        if order == "forward" or t == n or row.target(t) != row.target(t + 1):
+        if v != 0.5:
             mu = reweight(mu, k, t, v)
         achieved = eta_bar(mu, k, t)
         steps.append(TraceStep(t, v, achieved, achieved - row.target(t)))
@@ -319,13 +320,10 @@ def pure_row_measure(
 
 
 def check_conditional_preservation(
-    before: FiniteMeasure,
-    after: FiniteMeasure,
-    k: int,
-    t: int,
-    tol: float = 1e-10,
+    before: FiniteMeasure, after: FiniteMeasure, k: int, t: int
 ) -> bool:
-    """Did the law of (X_t, ..., X_n) given each first-k prefix survive?
+    """Did the law of (X_t, ..., X_n) given each first-k prefix survive, to
+    PRESERVATION_TOL?
 
     Compares the two conditional block laws for every length-k prefix with
     positive mass; prefixes alive in only one measure count as failure.
@@ -342,7 +340,7 @@ def check_conditional_preservation(
         return False
     if not alive_b.any():
         return True
-    return float(np.abs(laws_b[alive_b] - laws_a[alive_b]).max()) <= tol
+    return float(np.abs(laws_b[alive_b] - laws_a[alive_b]).max()) <= PRESERVATION_TOL
 
 
 def construct_from_target(h: MixingMatrix) -> tuple[ProductMeasure, list[ConstructionTrace]]:

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import FileFormatError, StateCapExceeded
+from .errors import DEFAULT_STATE_CAP, FileFormatError, StateCapExceeded
 from .process import CheckpointReport, RateFunction
 
 if TYPE_CHECKING:
@@ -137,12 +137,15 @@ def _json_chunks(x, pad: str):
         yield _float_list(x)
     elif not _is_scalar(x):
         yield "[\n"
-        for i, item in enumerate(x):
-            yield ",\n" + inner if i else inner
+        sep = inner
+        for item in x:
+            yield sep
             if isinstance(item, dict) and all(map(_is_scalar, item.values())):
                 yield "{" + ", ".join(f'"{k}": {_scalar(v)}' for k, v in item.items()) + "}"
             else:
                 yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+            del item  # so the next item is built with this one gone
         yield f"\n{pad}]"
     else:
         yield _scalar(x)
@@ -189,7 +192,7 @@ def write_measure(path: str, mu: FiniteMeasure) -> None:
     _write_json(path, _measure_fields(mu))
 
 
-def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
+def _parse_measure_obj(obj, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure:
     import numpy as np
 
     from .measures import SeqSpace, from_weights
@@ -199,8 +202,7 @@ def _parse_measure_obj(obj, state_cap: int | None) -> FiniteMeasure:
     q, n, probs = _fields(obj, "measure object", "q", "n", "probs")
     q, n = _strict_int(q, "q"), _strict_int(n, "n")
     v = _numbers(probs, "probs")
-    kwargs = {} if state_cap is None else {"state_cap": int(state_cap)}
-    space = SeqSpace(q, n, **kwargs)  # StateCapExceeded may propagate
+    space = SeqSpace(q, n, int(state_cap))  # StateCapExceeded may propagate
     if v.shape != (space.size,):
         raise FileFormatError(f"probs has {v.size} entries, expected {space.size}")
     if np.any(v < 0.0):
@@ -228,7 +230,7 @@ def _load(path: str) -> dict:
     return obj
 
 
-def read_measure(path: str, state_cap: int | None = None) -> FiniteMeasure:
+def read_measure(path: str, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure:
     return _parse_measure_obj(_load(path), state_cap)
 
 
@@ -269,7 +271,7 @@ def write_product(path: str, pm: ProductMeasure) -> None:
     _write_json(path, {"n": pm.n, "components": map(_measure_fields, pm.components)})
 
 
-def read_product(path: str, state_cap: int | None = None) -> ProductMeasure:
+def read_product(path: str, state_cap: int = DEFAULT_STATE_CAP) -> ProductMeasure:
     """A product file, or a measure file read as a one-component product."""
     from .products import ProductMeasure
 

@@ -31,6 +31,9 @@ from .errors import DEFAULT_STATE_CAP
 from .measures import FiniteMeasure, SeqSpace, _frozen
 from .mixing import MixingMatrix, mixing_matrix
 
+#: Widest factored interval :class:`FactoredMixing` still collapses to one matrix.
+EXACT_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class ProductMeasure:
@@ -110,14 +113,14 @@ class FactoredMixing:
     def width(self) -> float:
         return float(np.max(self.upper - self.lower)) if self.lower.size else 0.0
 
-    def is_exact(self, tol: float = 1e-9) -> bool:
-        return self.width <= tol
+    def is_exact(self) -> bool:
+        return self.width <= EXACT_TOL
 
-    def exact(self, tol: float = 1e-9) -> MixingMatrix:
-        """The collapsed matrix; raises when the interval is wider than tol."""
-        if not self.is_exact(tol):
+    def exact(self) -> MixingMatrix:
+        """The collapsed matrix; raises when the interval is wider than EXACT_TOL."""
+        if not self.is_exact():
             raise ValueError(
-                f"factored mixing interval has width {self.width:.3e} > {tol:.3e}; "
+                f"factored mixing interval has width {self.width:.3e} > {EXACT_TOL:.3e}; "
                 "component rows are not disjoint"
             )
         return MixingMatrix(self.lower)

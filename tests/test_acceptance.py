@@ -96,7 +96,7 @@ def test_criterion_2_pure_row_suite():
     for k in (1, 2, 3):
         want = pattern[: n - k]
         want = want + (0.0,) * (n - k - len(want))
-        mu, _, its = pure_row_measure(n, ValidRow(n, k, want), return_iterates=True)
+        mu, _, its = pure_row_measure(ValidRow(n, k, want), return_iterates=True)
         e = mixing_matrix(mu).entries
 
         row_dev = float(np.abs(e[k - 1, k:] - want).max())
@@ -154,8 +154,8 @@ def test_criterion_4_parallel_sandwich():
     worst_eq = 0.0
     for _ in range(25):
         rows = np.sort(rng.uniform(0.0, 1.0, size=2))[::-1]
-        mu1, _ = pure_row_measure(3, ValidRow(3, 1, tuple(rows)))
-        mu2, _ = pure_row_measure(3, ValidRow(3, 2, (float(rng.uniform()),)))
+        mu1, _ = pure_row_measure(ValidRow(3, 1, tuple(rows)))
+        mu2, _ = pure_row_measure(ValidRow(3, 2, (float(rng.uniform()),)))
         pm = ProductMeasure((mu1, mu2))
         fm = factored_mixing_matrix(pm)
         truth = mixing_matrix(materialize(pm)).entries
@@ -248,14 +248,14 @@ def test_criterion_9_forward_order_failure_witness():
     # 1.5, every cell is exact, both orders pick the same flip vector, and
     # their dense replays (tilts in opposite orders) agree to 4 ulp.
     row = ValidRow(4, 1, (0.5, 0.5, 0.2))
-    fwd, _ = pure_row_measure(4, row, order="forward")
-    bwd, _ = pure_row_measure(4, row)
+    fwd, _ = pure_row_measure(row, order="forward")
+    bwd, _ = pure_row_measure(row)
     fwd_cells = mixing_matrix(fwd).entries[0, 1:] - row.h
     err = float(np.abs(fwd_cells).max())
     bwd_err = float(np.abs(mixing_matrix(bwd).entries[0, 1:] - row.h).max())
     contrast = ValidRow(4, 1, (0.8, 0.5, 0.2))
-    fwd_c, fwd_trace = pure_row_measure(4, contrast, order="forward")
-    bwd_c = pure_row_measure(4, contrast)[0].probs
+    fwd_c, fwd_trace = pure_row_measure(contrast, order="forward")
+    bwd_c = pure_row_measure(contrast)[0].probs
     fwd_v = np.array([s.v_star for s in fwd_trace.steps])
     agree = fwd_v.tobytes() == np.array(solve_row(contrast)[0].v).tobytes() and bool(
         np.all(np.abs(fwd_c.probs - bwd_c) <= 4 * np.spacing(bwd_c))

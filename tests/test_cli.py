@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import etamix.construction as construction
-from etamix import MixingMatrix, factored_mixing_matrix, mixing_matrix, uniform
+from etamix import (
+    MixingMatrix,
+    ProductMeasure,
+    factored_mixing_matrix,
+    materialize,
+    mixing_matrix,
+    uniform,
+)
 from etamix.cli import main
 from etamix.fileio import (
     FORMAT_VERSION,
@@ -185,6 +192,26 @@ class TestProduct:
         assert joint.q == 4 and joint.n == 2
         e = mixing_matrix(joint).entries
         assert e[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_product_file_among_measure_files(self, tmp_path, target_file):
+        # a product file's components join the product one by one
+        pm, m, out = (str(tmp_path / f) for f in ("pm.json", "m.json", "joint.json"))
+        assert main(["construct", target_file, "-o", pm]) == 0
+        write_measure(m, copy_chain(3))
+        assert main(["product", pm, m, "-o", out]) == 0
+        comps = (*read_product(pm).components, copy_chain(3))
+        want = materialize(ProductMeasure(comps))
+        assert np.array_equal(read_measure(out).probs, want.probs)
+
+    def test_length_mismatch_exits_2(self, tmp_path, target_file, capsys):
+        pm, m, out = (str(tmp_path / f) for f in ("pm.json", "m.json", "joint.json"))
+        assert main(["construct", target_file, "-o", pm]) == 0
+        write_measure(m, uniform(2, 2))
+        capsys.readouterr()
+        assert main(["product", pm, m, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "components must share the same length n" in err
+        assert not Path(out).exists()
 
 
 class TestValidate:

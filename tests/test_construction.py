@@ -105,6 +105,20 @@ class TestReweight:
         with pytest.raises(ValueError):
             reweight(mu, 1, 2, 1.0)
 
+    def test_is_the_agreement_mask_formula(self):
+        # reference: weight v where bits k and t of the atom index agree
+        rng = np.random.default_rng(7)
+        for n in range(2, 8):
+            idx = np.arange(1 << n)
+            for k in range(1, n):
+                for t in range(k + 1, n + 1):
+                    mu = measures.random_measure(2, n, rng=rng)
+                    agree = ((idx >> (n - k)) & 1) == ((idx >> (n - t)) & 1)
+                    for v in (0.0, 0.5, 1.0, float(rng.uniform())):
+                        w = np.where(agree, v, 1.0 - v) * mu.probs
+                        want = w / float(w.sum())
+                        assert reweight(mu, k, t, v).probs.tobytes() == want.tobytes()
+
 
 class TestRowObjective:
     def test_linear_on_uniform(self):
@@ -197,25 +211,25 @@ class TestSolveV:
 
 class TestPureRowMeasure:
     def test_zero_row_returns_uniform(self):
-        mu, trace = pure_row_measure(3, ValidRow(3, 1, (0.0, 0.0)))
+        mu, trace = pure_row_measure(ValidRow(3, 1, (0.0, 0.0)))
         assert np.array_equal(mu.probs, np.full(8, 0.125))
         assert all(s.v_star == 0.5 for s in trace.steps)
 
     def test_ones_row(self):
-        mu, _ = pure_row_measure(3, ValidRow(3, 1, (1.0, 1.0)))
+        mu, _ = pure_row_measure(ValidRow(3, 1, (1.0, 1.0)))
         e = mixing_matrix(mu).entries
         assert e[0, 1] == e[0, 2] == 1.0
         assert abs(e[1, 2]) <= 1e-12
 
     def test_row_achieved_and_rest_zero(self):
         h = (0.6, 0.4)
-        mu, _ = pure_row_measure(3, ValidRow(3, 1, h))
+        mu, _ = pure_row_measure(ValidRow(3, 1, h))
         e = mixing_matrix(mu).entries
         assert np.allclose(e[0, 1:], h, atol=1e-9)
         assert abs(e[1, 2]) <= 1e-9
 
     def test_interior_row_k(self):
-        mu, _ = pure_row_measure(4, ValidRow(4, 2, (0.7, 0.3)))
+        mu, _ = pure_row_measure(ValidRow(4, 2, (0.7, 0.3)))
         e = mixing_matrix(mu).entries
         assert np.allclose(e[1, 2:], (0.7, 0.3), atol=1e-9)
         off = e.copy()
@@ -223,25 +237,25 @@ class TestPureRowMeasure:
         assert np.abs(off).max() <= 1e-9
 
     def test_marginals_stay_fair(self):
-        mu, _ = pure_row_measure(4, ValidRow(4, 1, (0.9, 0.5, 0.1)))
+        mu, _ = pure_row_measure(ValidRow(4, 1, (0.9, 0.5, 0.1)))
         for pos in range(1, 5):
             assert np.allclose(marginal(mu, pos, pos).probs, [0.5, 0.5], atol=1e-10)
 
     def test_trace_records_descending_positions(self):
-        _, trace = pure_row_measure(4, ValidRow(4, 1, (0.9, 0.5, 0.1)))
+        _, trace = pure_row_measure(ValidRow(4, 1, (0.9, 0.5, 0.1)))
         assert [s.t for s in trace.steps] == [4, 3, 2]
         assert trace.k == 1
 
     def test_deterministic(self):
         row = ValidRow(4, 2, (0.8, 0.2))
-        a, ta = pure_row_measure(4, row)
-        b, tb = pure_row_measure(4, row)
+        a, ta = pure_row_measure(row)
+        b, tb = pure_row_measure(row)
         assert np.array_equal(a.probs, b.probs)
         assert ta == tb
 
     def test_each_step_preserves_later_blocks(self):
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
-        _, trace, its = pure_row_measure(4, row, return_iterates=True)
+        _, trace, its = pure_row_measure(row, return_iterates=True)
         for idx, step in enumerate(trace.steps):
             if step.t < 4:
                 assert check_conditional_preservation(
@@ -252,7 +266,7 @@ class TestPureRowMeasure:
         # The first backward step couples (1,4), which moves the conditional
         # law of the block starting at position 3.
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
-        _, _, its = pure_row_measure(4, row, return_iterates=True)
+        _, _, its = pure_row_measure(row, return_iterates=True)
         assert not check_conditional_preservation(its[0], its[1], 1, 3)
 
     def test_flat_segment_skips_the_solve(self, monkeypatch):
@@ -264,18 +278,14 @@ class TestPureRowMeasure:
             return real(tail, target)
 
         monkeypatch.setattr(construction, "_flip_solve", counting)
-        mu, trace = pure_row_measure(5, ValidRow(5, 1, (0.6,) * 4))
+        mu, trace = pure_row_measure(ValidRow(5, 1, (0.6,) * 4))
         assert solved == [0.6]
         assert [s.v_star for s in trace.steps[1:]] == [0.5] * 3
         assert np.allclose(mixing_matrix(mu).entries[0, 1:], 0.6, atol=1e-12)
 
-    def test_row_n_mismatch(self):
-        with pytest.raises(ValueError):
-            pure_row_measure(4, ValidRow(3, 1, (0.5, 0.2)))
-
     def test_unknown_order(self):
         with pytest.raises(ValueError):
-            pure_row_measure(3, ValidRow(3, 1, (0.5, 0.2)), order="sideways")
+            pure_row_measure(ValidRow(3, 1, (0.5, 0.2)), order="sideways")
 
 
 class TestVisitOrder:
@@ -283,13 +293,13 @@ class TestVisitOrder:
         # With targets (0.5, 0.5, 0.2) the early tilts feed back into the
         # already-solved cells, so ascending order cannot realize the row.
         row = ValidRow(4, 1, (0.5, 0.5, 0.2))
-        fwd, _ = pure_row_measure(4, row, order="forward")
+        fwd, _ = pure_row_measure(row, order="forward")
         err = np.abs(mixing_matrix(fwd).entries[0, 1:] - row.h).max()
         assert err > 1e-3
 
     def test_backward_order_succeeds_on_same_row(self):
         row = ValidRow(4, 1, (0.5, 0.5, 0.2))
-        bwd, _ = pure_row_measure(4, row)
+        bwd, _ = pure_row_measure(row)
         err = np.abs(mixing_matrix(bwd).entries[0, 1:] - row.h).max()
         assert err <= 1e-9
 
@@ -300,11 +310,11 @@ class TestVisitOrder:
         # flip vector bit for bit, and their dense replays, which tilt in
         # opposite orders, agree to rounding.
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
-        fwd, fwd_trace = pure_row_measure(4, row, order="forward")
+        fwd, fwd_trace = pure_row_measure(row, order="forward")
         fwd_v = np.array([s.v_star for s in fwd_trace.steps])
         assert fwd_v.tobytes() == np.array(solve_row(row)[0].v).tobytes()
         assert solve_row(row)[0].v == (0.9, 0.75, 0.6)
-        bwd, _ = pure_row_measure(4, row)
+        bwd, _ = pure_row_measure(row)
         assert np.all(np.abs(fwd.probs - bwd.probs) <= 4 * np.spacing(bwd.probs))
 
 
@@ -336,14 +346,14 @@ class TestClosedFormCell:
     )
     def test_measure_is_the_replayed_reweight_chain(self, order, n, k, h):
         row = ValidRow(n, k, h)
-        mu, trace = pure_row_measure(n, row, order=order)
+        mu, trace = pure_row_measure(row, order=order)
         closed = solve_row(row)[1] if order == "backward" else trace.steps
         replay = uniform(2, n)
         for step, solved in zip(trace.steps, closed):
             t = step.t
             if order == "backward" and t < n and row.target(t) == row.target(t + 1):
                 assert step.v_star == 0.5
-            else:
+            if step.v_star != 0.5:
                 replay = reweight(replay, k, t, step.v_star)
             assert step.achieved == eta_bar(replay, k, t)
             assert step.residual == step.achieved - row.target(t)
@@ -371,11 +381,35 @@ class TestClosedFormCell:
     )
     def test_pure_row_dense_is_the_measure(self, n, k, h):
         row = ValidRow(n, k, h)
-        mu, trace = pure_row_measure(n, row)
+        mu, trace = pure_row_measure(row)
         pr, steps = solve_row(row)
         assert pr.dense().probs.tobytes() == mu.probs.tobytes()
         assert [s.v_star for s in steps] == [s.v_star for s in trace.steps]
         assert pr.v == tuple(s.v_star for s in reversed(trace.steps))
+
+
+@st.composite
+def _valid_rows(draw):
+    """ValidRows with n <= 8; half of them with one entry one float spacing
+    above its right-hand neighbour, where a solve may land on v = 1/2."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    h = draw(st.lists(st.floats(0.0, 1.0), min_size=n - k, max_size=n - k))
+    h.sort(reverse=True)
+    if n - k > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - k - 2))
+        h[i] = min(float(np.nextafter(h[i + 1], 2.0)), 1.0)
+        h.sort(reverse=True)
+    return ValidRow(n, k, tuple(h))
+
+
+class TestOneReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_rows())
+    @example(ValidRow(8, 6, (0.3994252615788065, 0.3994252615788064)))
+    def test_dense_is_the_reference_bit_for_bit(self, row):
+        mu, trace = pure_row_measure(row)
+        assert solve_row(row)[0].dense().probs.tobytes() == mu.probs.tobytes()
 
 
 @st.composite

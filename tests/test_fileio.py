@@ -216,16 +216,20 @@ def _constructed(n: int, seed: int) -> ProductMeasure:
 class TestProductRoundTrip:
     def test_one_component_of_atoms_alive_while_writing(self, tmp_path, monkeypatch):
         pm = _constructed(10, seed=4)
-        arrays, alive = [], []
+        arrays, earlier, alive = [], [], []
         dense = PureRow.dense
 
+        def live():
+            return sum(r() is not None for r in arrays)
+
         def tracked_dense(self):
+            earlier.append(live())  # no earlier component's atoms while this one's are built
             mu = dense(self)
             arrays.append(weakref.ref(mu.probs))
             return mu
 
         def counted_float_list(xs):
-            alive.append(sum(r() is not None for r in arrays))
+            alive.append(live())
             return _float_list(xs)
 
         monkeypatch.setattr(PureRow, "dense", tracked_dense)
@@ -233,6 +237,7 @@ class TestProductRoundTrip:
         write_product(str(tmp_path / "pm.json"), pm)
         assert len(alive) == 9
         assert max(alive) <= 1
+        assert earlier == [0] * 9
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         pm = _constructed(4, seed=5)
@@ -255,8 +260,8 @@ class TestProductRoundTrip:
         assert os.listdir(tmp_path) == ["pm.json"]
 
     def test_components_survive(self, tmp_path):
-        mu1, _ = pure_row_measure(3, ValidRow(3, 1, (0.8, 0.3)))
-        mu2, _ = pure_row_measure(3, ValidRow(3, 2, (0.6,)))
+        mu1, _ = pure_row_measure(ValidRow(3, 1, (0.8, 0.3)))
+        mu2, _ = pure_row_measure(ValidRow(3, 2, (0.6,)))
         pm = ProductMeasure((mu1, mu2))
         p = str(tmp_path / "pm.json")
         write_product(p, pm)

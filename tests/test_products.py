@@ -127,8 +127,8 @@ class TestFactoredMixing:
             assert np.all(truth <= fm.upper + 1e-9)
 
     def test_disjoint_rows_collapse_to_equality(self):
-        mu1, _ = pure_row_measure(3, ValidRow(3, 1, (0.8, 0.3)))
-        mu2, _ = pure_row_measure(3, ValidRow(3, 2, (0.6,)))
+        mu1, _ = pure_row_measure(ValidRow(3, 1, (0.8, 0.3)))
+        mu2, _ = pure_row_measure(ValidRow(3, 2, (0.6,)))
         pm = ProductMeasure((mu1, mu2))
         fm = factored_mixing_matrix(pm)
         assert fm.width <= 1e-12
@@ -137,16 +137,16 @@ class TestFactoredMixing:
         assert np.allclose(fm.exact().entries, truth, atol=1e-9)
 
     def test_overlapping_rows_are_not_exact(self):
-        mu1, _ = pure_row_measure(2, ValidRow(2, 1, (0.6,)))
-        mu2, _ = pure_row_measure(2, ValidRow(2, 1, (0.5,)))
+        mu1, _ = pure_row_measure(ValidRow(2, 1, (0.6,)))
+        mu2, _ = pure_row_measure(ValidRow(2, 1, (0.5,)))
         fm = factored_mixing_matrix(ProductMeasure((mu1, mu2)))
         assert not fm.is_exact()
         with pytest.raises(ValueError):
             fm.exact()
 
     def test_upper_clipped_at_one(self):
-        mu1, _ = pure_row_measure(2, ValidRow(2, 1, (0.9,)))
-        mu2, _ = pure_row_measure(2, ValidRow(2, 1, (0.8,)))
+        mu1, _ = pure_row_measure(ValidRow(2, 1, (0.9,)))
+        mu2, _ = pure_row_measure(ValidRow(2, 1, (0.8,)))
         fm = factored_mixing_matrix(ProductMeasure((mu1, mu2)))
         assert fm.upper[0, 1] == 1.0
 
