@@ -17,7 +17,6 @@ import sys
 
 from . import fileio
 from .errors import DEFAULT_STATE_CAP, FileFormatError, SolveError, TargetInvalid
-from .process import build_process, check_checkpoints
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,6 +48,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    from .process import build_process, check_checkpoints
+
     r, k_max, n_max, eps = fileio.read_process_spec(args.spec)
     p = build_process(r, k_max=k_max, n_max=n_max, eps=eps)
     reports = check_checkpoints(p)

@@ -151,13 +151,14 @@ class PureRow:
     def dense(self) -> FiniteMeasure:
         """The uniform measure tilted at each t with v_t != 1/2, from t = n
         down: the measure :func:`pure_row_measure` returns in its default
-        order, bit for bit."""
+        order, bit for bit, checked as a measure once."""
         mu = uniform(SeqSpace(2, self.n))
+        probs = mu.probs
         for t in range(self.n, self.k, -1):
             v = self.v[t - self.k - 1]
             if v != 0.5:
-                mu = reweight(mu, self.k, t, v)
-        return mu
+                probs = _tilt(probs, self.k, t, v)
+        return FiniteMeasure(mu.space, probs)
 
     @property
     def probs(self) -> np.ndarray:
@@ -189,14 +190,19 @@ def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
         raise ValueError(f"need 1 <= k < t <= n, got k={k} t={t} n={mu.n}")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v!r} outside [0, 1]")
+    return FiniteMeasure(mu.space, _tilt(mu.probs, k, t, v))
+
+
+def _tilt(probs: np.ndarray, k: int, t: int, v: float) -> np.ndarray:
+    """The atoms of :func:`reweight`, from and to a bare binary atom vector."""
     # axes (x_1..x_{k-1}, x_k, x_{k+1}..x_{t-1}, x_t, x_{t+1}..x_n)
-    blocks = mu.probs.reshape(1 << (k - 1), 2, 1 << (t - k - 1), 2, -1)
+    blocks = probs.reshape(1 << (k - 1), 2, 1 << (t - k - 1), 2, -1)
     table = np.array([[v, 1.0 - v], [1.0 - v, v]])[:, None, :, None]
     w = (table * blocks).reshape(-1)
     total = float(w.sum())
     if total <= 0.0:
         raise ValueError(f"reweighting with v={v!r} leaves no mass")
-    return FiniteMeasure(mu.space, w / total)
+    return w / total
 
 
 def _flip_cell(tail: np.ndarray, v: float) -> float:

@@ -11,8 +11,8 @@ never see a partial file.
 
 Measure readers renormalize atom vectors whose sum drifted by less than
 1e-9 and reject anything worse.  numpy and the array modules are imported
-by the readers and writers of arrays when they run; process specs and
-checkpoint reports need neither.
+by the readers and writers of arrays when they run, and the rate engine by
+the process-spec reader; process specs and checkpoint reports need no numpy.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import DEFAULT_STATE_CAP, FileFormatError, StateCapExceeded
-from .process import CheckpointReport, RateFunction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,6 +31,7 @@ if TYPE_CHECKING:
     from .construction import ConstructionTrace
     from .measures import FiniteMeasure
     from .mixing import ConjectureRow, MixingMatrix
+    from .process import CheckpointReport
     from .products import ProductMeasure
 
 FORMAT_VERSION = f"etamix-{__version__}"
@@ -299,6 +299,8 @@ def read_product(path: str, state_cap: int = DEFAULT_STATE_CAP) -> ProductMeasur
 def read_process_spec(path: str):
     """Returns (RateFunction, k_max, n_max, eps-or-None), checking JSON
     shapes and types; RateFunction and build_process check the values."""
+    from .process import RateFunction
+
     obj = _load(path)
     k_max, n_max, rate = _fields(obj, "process spec", "k_max", "n_max", "rate")
     k_max, n_max = _strict_int(k_max, "k_max"), _strict_int(n_max, "n_max")

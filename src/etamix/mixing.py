@@ -169,33 +169,29 @@ def validate_target(h: MixingMatrix, tol: float = 0.0) -> list[Violation]:
     range: entries above the diagonal lie in [0, 1] (inclusive).
     row-increase: within each row, entries may not increase left to right.
 
+    A NaN entry violates the lower-triangle or range rule, never a rise.
+    Violations are listed row by row: bad cells by column, then rises.
+
     The default ``tol = 0`` is the right reading for hand-written targets.
     Matrices computed from a measure carry float noise of order 1e-16 in
     cells that are equal in exact arithmetic, so pass a small positive tol
     when validating those.
     """
-    e = h.entries
-    n = h.n
+    e, n = h.entries, h.n
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    cells = np.where(upper, ~((-tol <= e) & (e <= 1.0 + tol)), ~(np.abs(e) <= tol))
+    rises = upper[:, :-1] & (e[:, 1:] > e[:, :-1] + tol)
     out: list[Violation] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = float(e[i - 1, j - 1])
-            if i >= j:
-                if abs(v) > tol:
-                    out.append(
-                        Violation("lower-triangle", i, j, f"expected 0, got {v!r}")
-                    )
-            else:
-                if not -tol <= v <= 1.0 + tol:
-                    out.append(Violation("range", i, j, f"{v!r} outside [0, 1]"))
-        for j in range(i + 1, n):
-            a, b = float(e[i - 1, j - 1]), float(e[i - 1, j])
-            if b > a + tol:
-                out.append(
-                    Violation(
-                        "row-increase", i, j + 1, f"{b!r} exceeds {a!r} at ({i},{j})"
-                    )
-                )
+    for r, c in np.argwhere(np.concatenate((cells, rises), axis=1)).tolist():
+        i, j = r + 1, c + 1
+        if c >= n:  # a rise from column j - n to j - n + 1
+            j -= n
+            a, b = float(e[r, j - 1]), float(e[r, j])
+            out.append(Violation("row-increase", i, j + 1, f"{b!r} exceeds {a!r} at ({i},{j})"))
+        elif i >= j:
+            out.append(Violation("lower-triangle", i, j, f"expected 0, got {float(e[r, c])!r}"))
+        else:
+            out.append(Violation("range", i, j, f"{float(e[r, c])!r} outside [0, 1]"))
     return out
 
 
@@ -229,14 +225,9 @@ def phi_vector(mu: FiniteMeasure) -> np.ndarray:
 
 def check_samson_inequality(mu: FiniteMeasure, slack: float = 1e-9) -> bool:
     """True when eta_bar(i, j) <= 2 * phi_{j-i} + slack for every pair."""
-    e = mixing_matrix(mu).entries
-    phis = phi_vector(mu)
-    n = mu.n
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if e[i - 1, j - 1] > 2.0 * phis[j - i - 1] + slack:
-                return False
-    return True
+    i, j = np.triu_indices(mu.n, 1)
+    bound = 2.0 * phi_vector(mu)[j - i - 1] + slack
+    return not np.any(mixing_matrix(mu).entries[i, j] > bound)
 
 
 @dataclass(frozen=True)

@@ -110,3 +110,23 @@ def spectral_norm_2x2_charpoly(m) -> float:
     tr, det = g11 + g22, g11 * g22 - g12 * g12
     lam = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
     return math.sqrt(lam)
+
+
+def validate_target_slow(entries, tol: float):
+    """The three realizability rules cell by cell, as (kind, i, j, detail)
+    tuples: each row's bad cells by column, then that row's rises."""
+    n = len(entries)
+    out = []
+    for i in range(1, n + 1):
+        row = [float(x) for x in entries[i - 1]]
+        for j in range(1, n + 1):
+            v = row[j - 1]
+            if i >= j and not abs(v) <= tol:
+                out.append(("lower-triangle", i, j, f"expected 0, got {v!r}"))
+            if i < j and not -tol <= v <= 1.0 + tol:
+                out.append(("range", i, j, f"{v!r} outside [0, 1]"))
+        for j in range(i + 1, n):
+            a, b = row[j - 1], row[j]
+            if b > a + tol:
+                out.append(("row-increase", i, j + 1, f"{b!r} exceeds {a!r} at ({i},{j})"))
+    return out

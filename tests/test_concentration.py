@@ -134,6 +134,10 @@ class TestBounds:
 
 
 class TestBoundsReport:
+    def test_nan_below_the_diagonal_is_an_invalid_target(self):
+        with pytest.raises(TargetInvalid):
+            bounds_report(MixingMatrix([[0.0, 0.5], [float("nan"), 0.0]]), 1.0)
+
     def test_keys_and_zero_target(self):
         rep = bounds_report(MixingMatrix.zeros(3), 1.0)
         assert list(rep) == ["t", "norm_inf", "norm_2", "samson", "kontram_inf",

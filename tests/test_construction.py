@@ -445,6 +445,15 @@ class TestPureRow:
         assert (pr.q, pr.n) == (2, 3)
         assert np.array_equal(pr.probs, pr.dense().probs)
 
+    def test_dense_checks_one_measure(self, monkeypatch):
+        # the uniform start and the result; the tilts in between are bare arrays
+        built = []
+        check = measures.FiniteMeasure.__post_init__
+        monkeypatch.setattr(measures.FiniteMeasure, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        PureRow(6, 2, (0.9, 0.5, 0.7, 0.6)).dense()
+        assert len(built) == 2
+
     def test_no_dense_measure_for_the_matrix(self):
         pr = PureRow(60, 7, (0.5,) * 52 + (1.0,))
         assert pr.row(60).tolist() == [1.0] * 53

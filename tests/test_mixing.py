@@ -24,7 +24,7 @@ from etamix import (
 )
 
 import oracles
-from helpers import copy_chain, random_full_support
+from helpers import copy_chain, random_full_support, random_valid_target
 
 COPY3_MATRIX = [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
@@ -52,6 +52,14 @@ def oracle_inputs():
     yield random_full_support(2, 6, rng)
     yield dead_prefix_measure(2, 5, rng)
     yield dead_prefix_measure(3, 4, rng)
+
+
+# realizability test cells: the rules' edges, NaN and inf, and float ties
+# one spacing off a rule's edge, at tol 0 and at tol 0.15
+TARGET_CELLS = (0.0, -0.0, 0.3, 0.5, 1.0, 1.2, -0.1, float("nan"), float("inf"),
+                *(float(np.nextafter(a, b)) for a, b in ((0.3, 1.0), (0.5, 0.0),
+                                                         (0.0, -1.0), (1.0, 2.0))),
+                0.3 + 0.15, float(np.nextafter(0.3 + 0.15, 1.0)), 1.15, -0.15)
 
 
 def iid_then_copy():
@@ -191,6 +199,31 @@ class TestValidateTarget:
         (v,) = validate_target(h)
         assert (v.kind, v.i, v.j) == ("row-increase", 1, 3)
 
+    def test_nan_below_the_diagonal_flagged(self):
+        (v,) = validate_target(MixingMatrix([[0.0, 0.5], [float("nan"), 0.0]]))
+        assert (v.kind, v.i, v.j, v.detail) == ("lower-triangle", 2, 1, "expected 0, got nan")
+        assert validate_target(MixingMatrix([[-0.0, 0.5], [-0.0, -0.0]])) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+               st.lists(st.sampled_from(TARGET_CELLS), min_size=n, max_size=n),
+               min_size=n, max_size=n)),
+           st.sampled_from((0.0, 1e-12, 0.15)))
+    def test_matches_cell_by_cell_oracle(self, entries, tol):
+        got = validate_target(MixingMatrix(entries), tol)
+        want = oracles.validate_target_slow(entries, tol)
+        assert [(v.kind, v.i, v.j, v.detail) for v in got] == want
+
+    def test_performance_budget(self):
+        import time
+
+        h = random_valid_target(2000, np.random.default_rng(0))
+        best = min(
+            (lambda s: (validate_target(h), time.perf_counter() - s))(time.perf_counter())[1]
+            for _ in range(3)
+        )
+        assert best < 0.5, f"n=2000 validation took {best:.2f} s"
+
 
 class TestPhi:
     def test_copy_chain_gap_one(self):
@@ -244,6 +277,10 @@ class TestSamsonInequality:
     def test_tight_on_copy_chain(self):
         # eta_bar(1,2) = 1 while phi_1 = 1/2, so the factor two is exact.
         assert check_samson_inequality(copy_chain(2), slack=1e-15)
+
+    def test_fails_below_the_bound(self):
+        # eta_bar(1,2) = 1 = 2 * phi_1, so a negative slack breaks it
+        assert not check_samson_inequality(copy_chain(2), slack=-0.1)
 
 
 class TestConjectureScan:

@@ -61,8 +61,8 @@ print(",".join(m for m in {engines!r} if m in sys.modules))
 """
 
 
-def _loaded(run: str) -> tuple[str, str]:
-    r = subprocess.run([sys.executable, "-c", LOADED.format(run=run, engines=ENGINES)],
+def _loaded(run: str, engines=ENGINES) -> tuple[str, str]:
+    r = subprocess.run([sys.executable, "-c", LOADED.format(run=run, engines=engines)],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     return r.stdout.splitlines()[-1], r.stdout
@@ -96,3 +96,12 @@ def test_rate_error_loads_no_engine(tmp_path):
     loaded, _ = _loaded(
         f"from etamix.cli import main\nassert main(['rate', {str(spec)!r}, '-o', 'x.csv']) == 5")
     assert loaded == ""
+
+
+def test_only_rate_loads_the_rate_engine(tmp_path):
+    target, out = tmp_path / "h.json", tmp_path / "bounds.json"
+    target.write_text('{"n": 2, "entries": [[0, 0.5], [0, 0]]}')
+    bounds = f"assert main(['bounds', {str(target)!r}, '--t', '1', '-o', {str(out)!r}]) == 0"
+    version = "try:\n    main(['--version'])\nexcept SystemExit as exc:\n    assert exc.code == 0"
+    for run in (bounds, version):
+        assert _loaded(f"from etamix.cli import main\n{run}", ("etamix.process",))[0] == "", run
