@@ -105,8 +105,10 @@ class PureRow:
     X_1, ..., X_k are iid fair bits and, independently for each t > k, X_t
     equals X_k with probability ``v[t-k-1]``.  The mixing matrix and the
     dense measure are both computed from v, and nothing else is kept.
-    ``q``, ``n`` and ``probs`` are the reads a product component needs;
-    ``probs`` builds the 2^n atoms of :meth:`dense` on every read.
+
+    A product component is anything with ``n``, ``q``, ``dense()`` and
+    ``matrix()``, as a PureRow and a FiniteMeasure both are; :meth:`dense`
+    builds the 2^n atoms on every call.
     """
 
     n: int
@@ -159,10 +161,6 @@ class PureRow:
             if v != 0.5:
                 probs = _tilt(probs, self.k, t, v)
         return FiniteMeasure(mu.space, probs)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.dense().probs
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,6 @@ def _fields(obj: dict, what: str, *names: str) -> list:
         raise FileFormatError(f"{what} missing field {exc}") from exc
 
 
-def _numbers(xs, what: str) -> np.ndarray:
-    """:func:`_floats` as a float64 array."""
-    import numpy as np
-
-    return np.asarray(_floats(xs, what), dtype=np.float64)
-
-
 def _scalar(x) -> str:
     """x as JSON and CSV text: true/false, integers as digits, strings
     quoted, other numbers at 17 significant digits.  A numpy scalar is
@@ -201,7 +194,7 @@ def _parse_measure_obj(obj, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure
         raise FileFormatError("measure object must be a JSON object")
     q, n, probs = _fields(obj, "measure object", "q", "n", "probs")
     q, n = _strict_int(q, "q"), _strict_int(n, "n")
-    v = _numbers(probs, "probs")
+    v = np.asarray(_floats(probs, "probs"), dtype=np.float64)
     space = SeqSpace(q, n, int(state_cap))  # StateCapExceeded may propagate
     if v.shape != (space.size,):
         raise FileFormatError(f"probs has {v.size} entries, expected {space.size}")
@@ -255,7 +248,13 @@ def read_matrix(path: str) -> MixingMatrix:
         or any(not isinstance(r, list) or len(r) != n for r in entries)
     ):
         raise FileFormatError(f"entries must be an {n}-by-{n} array")
-    v = np.array([_numbers(r, "each matrix row") for r in entries])
+    # type(), not isinstance: a JSON true reads as a bool, which is an int
+    if not all(type(x) is float or type(x) is int for r in entries for x in r):
+        raise FileFormatError("each matrix row must be a list of numbers")
+    try:
+        v = np.array(entries, dtype=np.float64)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise FileFormatError(f"each matrix row: {exc}") from exc
     if not np.all(np.isfinite(v)):
         raise FileFormatError("matrix entries must be finite numbers")
     return MixingMatrix(v)
@@ -266,9 +265,10 @@ def read_matrix(path: str) -> MixingMatrix:
 
 
 def write_product(path: str, pm: ProductMeasure) -> None:
-    """Components are read and written one at a time, so a PureRow's atoms
-    live only while its own text is formatted."""
-    _write_json(path, {"n": pm.n, "components": map(_measure_fields, pm.components)})
+    """Each component's ``dense()`` is built and written one at a time, so
+    its atoms live only while its own text is formatted."""
+    comps = (_measure_fields(c.dense()) for c in pm.components)
+    _write_json(path, {"n": pm.n, "components": comps})
 
 
 def read_product(path: str, state_cap: int = DEFAULT_STATE_CAP) -> ProductMeasure:

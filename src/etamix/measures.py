@@ -94,6 +94,16 @@ class FiniteMeasure:
     def n(self) -> int:
         return self.space.n
 
+    def dense(self) -> FiniteMeasure:
+        """The measure itself: a FiniteMeasure is its own dense form."""
+        return self
+
+    def matrix(self) -> np.ndarray:
+        """Entries of :func:`~etamix.mixing.mixing_matrix` of this measure."""
+        from .mixing import mixing_matrix
+
+        return mixing_matrix(self).entries
+
     def prob(self, seq) -> float:
         """Probability of one full-length sequence."""
         seq = tuple(seq)

@@ -231,15 +231,13 @@ class CheckpointReport:
     """Checkpoint audit row.
 
     ``ratio`` compares the worst off-diagonal row sum of Delta at the
-    checkpoint horizon against r(n_k); ``norm_ratio`` reports the companion
-    convention that keeps the unit diagonal in the numerator.
+    checkpoint horizon against r(n_k).
     """
 
     k: int
     eps: float
     n: int
     ratio: float
-    norm_ratio: float
     passed: bool
 
 
@@ -259,10 +257,5 @@ def check_checkpoints(p: TruncatedProcess) -> list[CheckpointReport]:
         top = max(top, cp.n - cp.k)
         rn = p.rate(cp.n)
         ratio = top / rn
-        out.append(
-            CheckpointReport(
-                cp.k, cp.eps, cp.n, ratio, (1 + top) / rn,
-                1.0 - cp.eps <= ratio <= 1.0,
-            )
-        )
+        out.append(CheckpointReport(cp.k, cp.eps, cp.n, ratio, 1.0 - cp.eps <= ratio <= 1.0))
     return out

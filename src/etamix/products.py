@@ -14,11 +14,11 @@ per cell.  When at most one component is nonzero at each cell ("disjoint
 rows", as with pure-row components) the two sides collapse and the factored
 matrix is exact without materializing the joint.
 
-Components are FiniteMeasures or :class:`~etamix.construction.PureRow`
-flip vectors; both give ``q``, ``n`` and ``probs``, which is all a product
-file or :func:`materialize` reads.  A PureRow builds its atoms on each read
-of ``probs`` and keeps none, and its ``matrix()`` method supplies its own
-mixing matrix, so the factored matrix sweeps no dense measure for it.
+A component is anything with ``n``, ``q``, ``dense()`` and ``matrix()``:
+a FiniteMeasure, or a :class:`~etamix.construction.PureRow` flip vector,
+whose ``matrix()`` is closed-form and whose ``dense()`` builds its atoms on
+each call.  A product file and :func:`materialize` read ``dense()``, and
+the factored matrix reads ``matrix()``.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DEFAULT_STATE_CAP
 from .measures import FiniteMeasure, SeqSpace, _frozen
-from .mixing import MixingMatrix, mixing_matrix
+from .mixing import MixingMatrix
 
 #: Widest factored interval :class:`FactoredMixing` still collapses to one matrix.
 EXACT_TOL = 1e-9
@@ -37,11 +37,7 @@ EXACT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ProductMeasure:
-    """Parallel product of equal-length component measures, kept factored.
-
-    Each component is a FiniteMeasure or a PureRow; both give ``q``, ``n``
-    and ``probs``.
-    """
+    """Parallel product of equal-length components, kept factored."""
 
     components: tuple
 
@@ -58,10 +54,6 @@ class ProductMeasure:
     @property
     def n(self) -> int:
         return self.components[0].n
-
-    @property
-    def alphabet_size(self) -> int:
-        return prod(c.q for c in self.components)
 
 
 def series_product(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
@@ -81,11 +73,11 @@ def materialize(pm: ProductMeasure, state_cap: int = DEFAULT_STATE_CAP) -> Finit
     than ``state_cap`` atoms.
     """
     n = pm.n
-    space = SeqSpace(pm.alphabet_size, n, state_cap)  # raises on cap breach
+    space = SeqSpace(prod(c.q for c in pm.components), n, state_cap)  # raises on cap breach
 
     acc, q_acc = np.ones((1,) * n), 1  # one axis per position
     for comp in pm.components:
-        outer = np.multiply.outer(acc, comp.probs.reshape((comp.q,) * n))
+        outer = np.multiply.outer(acc, comp.dense().probs.reshape((comp.q,) * n))
         # axes are (a_1..a_n, b_1..b_n); interleave to (a_1, b_1, a_2, b_2, ...)
         perm = [ax for pair in zip(range(n), range(n, 2 * n)) for ax in pair]
         q_acc *= comp.q
@@ -127,11 +119,10 @@ class FactoredMixing:
 
 
 def factored_mixing_matrix(pm: ProductMeasure) -> FactoredMixing:
-    """Mixing-matrix bounds of a parallel product from its components alone."""
-    cells = np.stack([
-        c.matrix() if hasattr(c, "matrix") else mixing_matrix(c).entries
-        for c in pm.components
-    ])
-    lower = cells.max(axis=0)
-    upper = np.minimum(1.0, cells.sum(axis=0))
-    return FactoredMixing(lower, upper)
+    """Mixing-matrix bounds of a parallel product from its components alone,
+    folded one component at a time into a running max and sum."""
+    cells = (c.matrix() for c in pm.components)
+    lower = upper = next(cells)
+    for m in cells:
+        lower, upper = np.maximum(lower, m), upper + m
+    return FactoredMixing(lower, np.minimum(1.0, upper))

@@ -443,7 +443,6 @@ class TestPureRow:
     def test_measure_read_interface(self):
         pr = PureRow(3, 1, (0.5, 1.0))
         assert (pr.q, pr.n) == (2, 3)
-        assert np.array_equal(pr.probs, pr.dense().probs)
 
     def test_dense_checks_one_measure(self, monkeypatch):
         # the uniform start and the result; the tilts in between are bare arrays

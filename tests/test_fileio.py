@@ -510,8 +510,8 @@ LAYOUTS = [
 }
 """),
     ("checkpoints", lambda p: write_checkpoints(p, [
-        CheckpointReport(1, 0.5, 2, 0.5, 1.0, True),
-        CheckpointReport(2, 1 / 3, 5, 0.25, 0.5, False),
+        CheckpointReport(1, 0.5, 2, 0.5, True),
+        CheckpointReport(2, 1 / 3, 5, 0.25, False),
     ]),
      """# <version>
 k,eps_k,n_k,h_k,ratio,pass

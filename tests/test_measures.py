@@ -13,6 +13,7 @@ from etamix import (
     conditional,
     from_weights,
     marginal,
+    mixing_matrix,
     random_measure,
     tv_distance,
     uniform,
@@ -98,6 +99,11 @@ class TestFiniteMeasure:
         mu = uniform(2, 2)
         with pytest.raises(ValueError):
             mu.probs[0] = 1.0
+
+    def test_is_its_own_product_component(self):
+        mu = random_measure(2, 3, rng=np.random.default_rng(9))
+        assert mu.dense() is mu
+        assert np.array_equal(mu.matrix(), mixing_matrix(mu).entries)
 
     def test_prob_by_sequence(self):
         mu = copy_chain(3)

@@ -297,11 +297,6 @@ class TestCheckCheckpoints:
         assert np.allclose(
             [r.ratio for r in reports], [0.5, 1.0, 1.0, 1.0, 1.0], atol=1e-12
         )
-        assert np.allclose(
-            [r.norm_ratio for r in reports],
-            [1.0, 1.5, 4 / 3, 4 / 3, 4 / 3],
-            atol=1e-12,
-        )
 
     def test_corrupted_component_is_caught(self):
         # component 2 copied at horizon 3 in place of 4: its row holds one
@@ -390,4 +385,3 @@ class TestRateFromRows:
             big_r = rate_R(p, rep.n)
             rn = p.rate(rep.n)
             assert rep.ratio == (big_r - 1.0) / rn
-            assert rep.norm_ratio == big_r / rn

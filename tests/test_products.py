@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from etamix import (
+    MixingMatrix,
     ProductMeasure,
+    PureRow,
     SeqSpace,
     StateCapExceeded,
     ValidRow,
+    construct_from_target,
     factored_mixing_matrix,
     from_weights,
     materialize,
@@ -14,8 +19,41 @@ from etamix import (
     series_product,
     uniform,
 )
+from etamix.fileio import write_product
 
 from helpers import copy_chain, random_full_support
+
+
+class OnlyProtocol:
+    """A product component with nothing but n, q, dense() and matrix()."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, component):
+        self._c = component
+
+    n = property(lambda self: self._c.n)
+    q = property(lambda self: self._c.q)
+
+    def dense(self):
+        return self._c.dense()
+
+    def matrix(self):
+        return self._c.matrix()
+
+
+def _random_components(n: int, rng: np.random.Generator) -> tuple:
+    """One to three PureRow and FiniteMeasure components on {0,1}^n, mixed."""
+    comps = []
+    for _ in range(int(rng.integers(1, 4))):
+        if n >= 2 and rng.random() < 0.6:
+            k = int(rng.integers(1, n))
+            v = rng.uniform(0.0, 1.0, n - k)
+            v[rng.random(n - k) < 0.3] = 0.5
+            comps.append(PureRow(n, k, tuple(v.tolist())))
+        else:
+            comps.append(random_full_support(2, n, rng))
+    return tuple(comps)
 
 
 class TestSeriesProduct:
@@ -155,3 +193,41 @@ class TestFactoredMixing:
         fm = factored_mixing_matrix(ProductMeasure((mu,)))
         assert fm.width == 0.0
         assert np.allclose(fm.exact().entries, mixing_matrix(mu).entries)
+
+
+class TestComponentProtocol:
+    def test_a_component_needs_only_the_protocol(self, tmp_path):
+        rng = np.random.default_rng(21)
+        comps = (PureRow(3, 1, (0.8, 0.5)), random_full_support(2, 3, rng), PureRow(3, 2, (0.3,)))
+        plain = ProductMeasure(comps)
+        ducks = ProductMeasure(tuple(map(OnlyProtocol, comps)))
+        assert materialize(ducks).probs.tobytes() == materialize(plain).probs.tobytes()
+        want, got = factored_mixing_matrix(plain), factored_mixing_matrix(ducks)
+        assert np.array_equal(got.lower, want.lower) and np.array_equal(got.upper, want.upper)
+        write_product(str(tmp_path / "plain.json"), plain)
+        write_product(str(tmp_path / "ducks.json"), ducks)
+        assert (tmp_path / "ducks.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_fold_is_the_stacked_max_and_sum_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            pm = ProductMeasure(_random_components(int(rng.integers(1, 6)), rng))
+            cells = np.stack([c.matrix() for c in pm.components])
+            fm = factored_mixing_matrix(pm)
+            assert fm.lower.tobytes() == cells.max(axis=0).tobytes()
+            assert fm.upper.tobytes() == np.minimum(1.0, cells.sum(axis=0)).tobytes()
+
+    def test_fold_holds_two_matrices_not_a_stack(self):
+        # constant rows: one flip position per row, n - 1 components of n x n
+        # cells, 500 MB stacked at n = 400
+        n = 400
+        e = np.triu(np.repeat(np.random.default_rng(23).uniform(0, 1, (n, 1)), n, axis=1), 1)
+        pm, _ = construct_from_target(MixingMatrix(e))
+        tracemalloc.start()
+        try:
+            fm = factored_mixing_matrix(pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.abs(fm.exact().entries - e).max() <= 1e-12
