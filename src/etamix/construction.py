@@ -107,7 +107,7 @@ class PureRow:
     dense measure are both computed from v, and nothing else is kept.
 
     A product component is anything with ``n``, ``q``, ``dense()`` and
-    ``matrix()``, as a PureRow and a FiniteMeasure both are; :meth:`dense`
+    ``rows()``, as a PureRow and a FiniteMeasure both are; :meth:`dense`
     builds the 2^n atoms on every call.
     """
 
@@ -144,11 +144,9 @@ class PureRow:
         out[:hi] = cell
         return out
 
-    def matrix(self) -> np.ndarray:
-        """Mixing matrix on {0,1}^n: :meth:`row` (n) on row k, zero elsewhere."""
-        out = np.zeros((self.n, self.n))
-        out[self.k - 1, self.k :] = self.row(self.n)
-        return out
+    def rows(self) -> tuple:
+        """The mixing matrix's one nonzero row on {0,1}^n: :meth:`row` (n) on row k."""
+        return ((self.k, self.row(self.n)),)
 
     def dense(self) -> FiniteMeasure:
         """The uniform measure tilted at each t with v_t != 1/2, from t = n

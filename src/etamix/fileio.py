@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from collections.abc import Iterable
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -52,14 +53,12 @@ def _strict_int(x, what: str) -> int:
     return x
 
 
-def _floats(xs, what: str) -> list[float]:
-    """xs as floats when it is a JSON list of numbers, bools excluded."""
-    if not isinstance(xs, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs
-    ):
+def _floats(xs, what: str) -> array:
+    """xs as a float array when it is a JSON list of numbers; type() refuses bools."""
+    if not isinstance(xs, list) or not all(type(x) is float or type(x) is int for x in xs):
         raise FileFormatError(f"{what} must be a list of numbers")
     try:
-        return list(map(float, xs))
+        return array("d", xs)
     except OverflowError as exc:  # an integer literal past the float range
         raise FileFormatError(f"{what}: {exc}") from exc
 
@@ -104,8 +103,8 @@ def _float_list(xs: np.ndarray) -> str:
     bits, where = np.unique(
         np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64), return_inverse=True
     )
-    text = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
-    return "[" + ", ".join([text[i] for i in where.tolist()]) + "]"
+    text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
+    return "[" + ", ".join(text[where].tolist()) + "]"
 
 
 def _json_chunks(x, pad: str):
@@ -188,13 +187,13 @@ def write_measure(path: str, mu: FiniteMeasure) -> None:
 def _parse_measure_obj(obj, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure:
     import numpy as np
 
-    from .measures import SeqSpace, from_weights
+    from .measures import FiniteMeasure, SeqSpace
 
     if not isinstance(obj, dict):
         raise FileFormatError("measure object must be a JSON object")
     q, n, probs = _fields(obj, "measure object", "q", "n", "probs")
     q, n = _strict_int(q, "q"), _strict_int(n, "n")
-    v = np.asarray(_floats(probs, "probs"), dtype=np.float64)
+    v = np.frombuffer(_floats(probs, "probs"))
     space = SeqSpace(q, n, int(state_cap))  # StateCapExceeded may propagate
     if v.shape != (space.size,):
         raise FileFormatError(f"probs has {v.size} entries, expected {space.size}")
@@ -205,7 +204,7 @@ def _parse_measure_obj(obj, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure
         raise FileFormatError(
             f"probabilities sum to {total!r}; drift exceeds {READ_NORM_TOL}"
         )
-    return from_weights(space, v)
+    return FiniteMeasure(space, v / total)
 
 
 def _load(path: str) -> dict:

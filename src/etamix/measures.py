@@ -98,11 +98,12 @@ class FiniteMeasure:
         """The measure itself: a FiniteMeasure is its own dense form."""
         return self
 
-    def matrix(self) -> np.ndarray:
-        """Entries of :func:`~etamix.mixing.mixing_matrix` of this measure."""
+    def rows(self):
+        """(i, cells (i, i+1..n)) of :func:`~etamix.mixing.mixing_matrix`, i < n."""
         from .mixing import mixing_matrix
 
-        return mixing_matrix(self).entries
+        e = mixing_matrix(self).entries
+        return ((i, e[i - 1, i:]) for i in range(1, self.n))
 
     def prob(self, seq) -> float:
         """Probability of one full-length sequence."""

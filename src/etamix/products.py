@@ -14,11 +14,11 @@ per cell.  When at most one component is nonzero at each cell ("disjoint
 rows", as with pure-row components) the two sides collapse and the factored
 matrix is exact without materializing the joint.
 
-A component is anything with ``n``, ``q``, ``dense()`` and ``matrix()``:
-a FiniteMeasure, or a :class:`~etamix.construction.PureRow` flip vector,
-whose ``matrix()`` is closed-form and whose ``dense()`` builds its atoms on
-each call.  A product file and :func:`materialize` read ``dense()``, and
-the factored matrix reads ``matrix()``.
+A component is anything with ``n``, ``q``, ``dense()`` and ``rows()``:
+a FiniteMeasure, or a :class:`~etamix.construction.PureRow` flip vector.
+``rows()`` yields ``(i, cells)`` for each row i that may be nonzero, with
+the row's cells in columns i+1..n.  A product file and :func:`materialize`
+read ``dense()``, and the factored matrix reads ``rows()``.
 """
 from __future__ import annotations
 
@@ -119,10 +119,11 @@ class FactoredMixing:
 
 
 def factored_mixing_matrix(pm: ProductMeasure) -> FactoredMixing:
-    """Mixing-matrix bounds of a parallel product from its components alone,
-    folded one component at a time into a running max and sum."""
-    cells = (c.matrix() for c in pm.components)
-    lower = upper = next(cells)
-    for m in cells:
-        lower, upper = np.maximum(lower, m), upper + m
+    """Mixing-matrix bounds of a parallel product from its components alone:
+    each component row's cells are folded once into a running max and sum."""
+    lower, upper = np.zeros((pm.n, pm.n)), np.zeros((pm.n, pm.n))
+    for c in pm.components:
+        for i, cells in c.rows():
+            lower[i - 1, i:] = np.maximum(lower[i - 1, i:], cells)
+            upper[i - 1, i:] += cells
     return FactoredMixing(lower, np.minimum(1.0, upper))

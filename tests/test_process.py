@@ -190,7 +190,8 @@ class TestBuildProcess:
         # the one flip lies past the breakpoint of the empty tail, where the
         # solve takes (1 + h) / 2 itself
         assert direct == solved
-        assert np.abs(direct.matrix()[k - 1, k:] - h).max() <= 1e-15
+        ((i, cells),) = direct.rows()
+        assert i == k and np.abs(cells - h).max() <= 1e-15
 
     def test_default_eps_sequence(self):
         p = build_process(RateFunction.sqrt(12), k_max=3, n_max=12)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from helpers import copy_chain, random_full_support
 
 
 class OnlyProtocol:
-    """A product component with nothing but n, q, dense() and matrix()."""
+    """A product component with nothing but n, q, dense() and rows()."""
 
     __slots__ = ("_c",)
 
@@ -38,8 +39,8 @@ class OnlyProtocol:
     def dense(self):
         return self._c.dense()
 
-    def matrix(self):
-        return self._c.matrix()
+    def rows(self):
+        return self._c.rows()
 
 
 def _random_components(n: int, rng: np.random.Generator) -> tuple:
@@ -54,6 +55,15 @@ def _random_components(n: int, rng: np.random.Generator) -> tuple:
         else:
             comps.append(random_full_support(2, n, rng))
     return tuple(comps)
+
+
+def _full_matrix(c) -> np.ndarray:
+    """A component's n x n mixing matrix, read without its rows()."""
+    if isinstance(c, PureRow):
+        out = np.zeros((c.n, c.n))
+        out[c.k - 1, c.k :] = c.row(c.n)
+        return out
+    return mixing_matrix(c).entries
 
 
 class TestSeriesProduct:
@@ -212,7 +222,7 @@ class TestComponentProtocol:
         rng = np.random.default_rng(22)
         for _ in range(60):
             pm = ProductMeasure(_random_components(int(rng.integers(1, 6)), rng))
-            cells = np.stack([c.matrix() for c in pm.components])
+            cells = np.stack([_full_matrix(c) for c in pm.components])
             fm = factored_mixing_matrix(pm)
             assert fm.lower.tobytes() == cells.max(axis=0).tobytes()
             assert fm.upper.tobytes() == np.minimum(1.0, cells.sum(axis=0)).tobytes()
@@ -231,3 +241,19 @@ class TestComponentProtocol:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert np.abs(fm.exact().entries - e).max() <= 1e-12
+
+    def test_fold_writes_only_the_rows(self):
+        # constant rows, one flip each; a fold that pads every row into an
+        # n x n matrix takes over 5 s at n = 1,000
+        n, flips = 1500, np.random.default_rng(24).uniform(0.5, 1.0, 1500).tolist()
+        rows = [PureRow(n, k, (0.5,) * (n - k - 1) + (flips[k],)) for k in range(1, n)]
+        pm = ProductMeasure(tuple(rows))
+        start = time.perf_counter()
+        fm = factored_mixing_matrix(pm)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, f"fold took {elapsed:.2f} s"
+        assert fm.is_exact()
+        placed = np.zeros((n, n))
+        for c in rows:
+            placed[c.k - 1, c.k :] = c.row(n)
+        assert np.array_equal(fm.lower, placed)
