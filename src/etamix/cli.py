@@ -6,9 +6,10 @@ codes: 0 success, 1 failed checkpoint audit; a failure exits as
 for any other ValueError).  ``construct`` solves each flip probability
 exactly from the cell's piecewise-linear closed form, in O(|T| log |T|)
 per position for a tail law of |T| atoms, audits every cell and prints its
-trace's worst miss.  Output files are written atomically and depend only
-on the inputs and the seed, so reruns are byte-identical.  Each command imports the engine it runs when it runs, so
-``rate``, ``--help`` and ``--version`` never load numpy.
+trace's worst miss; ``mix`` reads that product file back.  Output files
+are written atomically and depend only on the inputs and the seed, so
+reruns are byte-identical.  Each command imports the engine it runs when
+it runs, so ``rate``, ``--help`` and ``--version`` never load numpy.
 """
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ EXIT_CHECK_FAILED = 1
 
 
 def _cmd_mix(args) -> int:
-    from .mixing import mixing_matrix
+    from .products import factored_mixing_matrix
 
-    mu = fileio.read_measure(args.measure, state_cap=args.state_cap)
-    fileio.write_matrix(args.output, mixing_matrix(mu))
-    print(f"wrote {args.output} (n={mu.n})")
+    pm = fileio.read_product(args.measure, args.state_cap)
+    fileio.write_matrix(args.output, factored_mixing_matrix(pm).exact())
+    print(f"wrote {args.output} (n={pm.n})")
     return EXIT_OK
 
 
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max dense states a measure may use (default %(default)s)",
         )
 
-    p = sub.add_parser("mix", help="mixing matrix of a dense measure file")
+    p = sub.add_parser("mix", help="mixing matrix of a measure or product file")
     p.add_argument("measure")
     p.add_argument("-o", "--output", required=True)
     add_cap(p)

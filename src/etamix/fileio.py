@@ -6,8 +6,8 @@ Every JSON file is ``{"version", **fields}`` laid out by one rule
 and one line per row (:func:`_write_csv`).  Writers are deterministic byte
 for byte: floats are emitted with 17 significant digits.  The text is
 streamed chunk by chunk into a temp file that is then renamed over the
-output, so a writer holds at most one array's text in memory and readers
-never see a partial file.
+output, so a writer holds at most one slice of an array's text in memory
+and readers never see a partial file.
 
 Measure readers renormalize atom vectors whose sum drifted by less than
 1e-9 and reject anything worse.  numpy and the array modules are imported
@@ -90,13 +90,13 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (str, int, float)) or getattr(x, "ndim", None) == 0
 
 
-def _float_list(xs: np.ndarray) -> str:
+def _float_list(xs: np.ndarray):
     """JSON list of xs at 17 significant digits, formatting each distinct value once.
 
     A pure row built on 2^n atoms holds at most 2^(n-k) distinct
     probabilities, so writing a product formats a small share of its
     values.  Values are told apart by their bits, so -0.0 and 0.0 keep
-    their own text.
+    their own text.  The text is yielded 2^16 values at a time.
     """
     import numpy as np
 
@@ -104,7 +104,10 @@ def _float_list(xs: np.ndarray) -> str:
         np.ascontiguousarray(xs, dtype=np.float64).view(np.uint64), return_inverse=True
     )
     text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
-    return "[" + ", ".join(text[where].tolist()) + "]"
+    yield "["
+    for start in range(0, where.size, 1 << 16):
+        yield (", " if start else "") + ", ".join(text[where[start:start + (1 << 16)]].tolist())
+    yield "]"
 
 
 def _json_chunks(x, pad: str):
@@ -126,7 +129,7 @@ def _json_chunks(x, pad: str):
             sep = ","
         yield f"\n{pad}}}"
     elif getattr(x, "ndim", 0) == 1:
-        yield _float_list(x)
+        yield from _float_list(x)
     elif not _is_scalar(x):
         yield "[\n"
         sep = inner

@@ -22,7 +22,7 @@ NORM_TOL = 1e-12
 
 
 class ZeroProbabilityPrefix(ValueError):
-    """Conditioning on a prefix with no mass.  Scanning callers skip these."""
+    """Conditioning on a prefix with no mass; ``conditional`` and ``eta`` raise it."""
 
 
 @dataclass(frozen=True)

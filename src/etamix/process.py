@@ -8,10 +8,10 @@ build_process picks, for each checkpoint k, the smallest horizon n_k with
     1 - eps_k  <=  min(r(n_k), n_k - k) / r(n_k)  <=  1,
 
 which is h (n_k - k) / r(n_k) for the largest constant row value
-h = min(1, r(n_k) / (n_k - k)) that keeps it <= 1.  h is always 1 (see build_process), so component k is the copy
-X_{n_k} = X_k over iid fair bits, and the checkpoint table is the whole
-process: ``components`` builds the copies, in flip-vector form
-(:class:`~etamix.construction.PureRow`), only when read.
+h = min(1, r(n_k) / (n_k - k)) that keeps it <= 1.  As h is always 1 (see
+build_process), component k is the copy X_{n_k} = X_k over iid fair bits,
+and the checkpoint table is the whole process: ``components`` builds the
+copies as :class:`~etamix.construction.PureRow` flip vectors only when read.
 
 Components run in parallel, padded beyond their natural length by
 independent fair bits that add nothing to any cell, and component k lives

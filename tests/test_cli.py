@@ -25,9 +25,10 @@ from etamix.fileio import (
     read_product,
     write_matrix,
     write_measure,
+    write_product,
 )
 
-from helpers import copy_chain, random_valid_target
+from helpers import copy_chain, random_full_support, random_valid_target
 
 
 def run_cli(*args):
@@ -87,6 +88,30 @@ class TestMix:
         assert main(["mix", m, "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be an integer" in err
+        assert not out.exists()
+
+    def test_measure_file_matches_mixing_matrix(self, tmp_path):
+        m, out, want = (str(tmp_path / f) for f in ("m.json", "h.json", "want.json"))
+        write_measure(m, random_full_support(3, 4, np.random.default_rng(6)))
+        assert main(["mix", m, "-o", out]) == 0
+        write_matrix(want, mixing_matrix(read_measure(m)))
+        assert Path(out).read_bytes() == Path(want).read_bytes()
+
+    def test_construct_output_reads_back(self, tmp_path):
+        h = random_valid_target(14, np.random.default_rng(14))
+        target, pm, out = (str(tmp_path / f) for f in ("h.json", "pm.json", "back.json"))
+        write_matrix(target, h)
+        assert main(["construct", target, "-o", pm]) == 0
+        assert main(["mix", pm, "-o", out]) == 0
+        assert np.abs(read_matrix(out).entries - h.entries).max() <= 1e-12
+
+    def test_overlapping_product_rows_exit_code(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        p, out = str(tmp_path / "pm.json"), tmp_path / "h.json"
+        write_product(p, ProductMeasure(tuple(random_full_support(2, 3, rng) for _ in range(2))))
+        assert main(["mix", p, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "factored mixing interval has width" in err
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Every reading subcommand answers a mutated input file with a documented exit
 code and at most one error line, never a traceback.
 
-Each example takes a valid process spec, matrix file or measure file,
+Each example takes a valid process spec, matrix, measure or product file,
 replaces one field (any key or list element, at any depth) with null, a
 string, a bool, a nested list, a negative number or a huge number, and runs
 ``etamix.cli.main`` in-process on it.  A field nested 200,000 lists deep
@@ -98,7 +98,7 @@ class TestMutatedInputs:
         _run("construct", doc)
 
     @settings(max_examples=60, deadline=None)
-    @given(_mutated([MEASURE]))
+    @given(_mutated([MEASURE, PRODUCT]))
     def test_mix(self, doc):
         _run("mix", doc)
 

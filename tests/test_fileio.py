@@ -101,8 +101,11 @@ class TestMeasureRoundTrip:
 
     def test_float_list_formats_every_value(self):
         xs = np.array([0.1, -0.0, 0.0, 0.1, 1 / 3, 5e-324, 1 / 3, 1e22, -0.0])
-        for v in (xs, xs[::2], np.random.default_rng(4).random(50)):
-            assert _float_list(v) == "[" + ", ".join(format(float(x), ".17g") for x in v) + "]"
+        # past one 2^16-value slice, with repeats and -0.0 on both sides of the seam
+        seam = np.resize(np.append(xs, np.random.default_rng(5).random(7)), 2**16 + 3)
+        for v in (xs, xs[::2], np.random.default_rng(4).random(50), seam):
+            want = "[" + ", ".join(format(float(x), ".17g") for x in v) + "]"
+            assert "".join(_float_list(v)) == want
 
     def test_version_tag_present(self, tmp_path):
         obj = json.loads(_written(tmp_path, write_measure, uniform(2, 2)))
