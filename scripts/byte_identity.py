@@ -17,9 +17,9 @@ The corpus: ``construct --trace``, ``bounds`` and ``validate`` on ten
 n = 14 targets drawn like the benchmark's and on targets at n = 1, 2, 5
 and 18; the three commands on an n = 4 target with every violation kind;
 ``product`` on the n = 5 output and on two q = 2, n = 3 measures, and
-``mix`` on each joint and on the n = 5 and first n = 14 product files;
-``scan``; ``rate`` on linear, sqrt, const, table and malformed specs; and
-``--version``.
+``mix`` on each joint, on the n = 5 and first n = 14 product files and on
+a product file whose one component has q = 1; ``scan``; ``rate`` on
+linear, sqrt, const, table and malformed specs; and ``--version``.
 
 Prints one line per differing stdout, stderr, exit code or output file and
 exits 1 if anything differs, 0 if nothing does.  Imports nothing from
@@ -81,6 +81,8 @@ def write_inputs(d: str) -> list[list[str]]:
                      ["mix", f"{joint}.json", "-o", f"{joint}-matrix.json"]]
     commands += [["mix", f"{name}-product.json", "-o", f"{name}-matrix.json"]
                  for name in ("t5", "t14_0")]
+    _dump(os.path.join(d, "q1-product.json"), {"components": [{"q": 1, "n": 2, "probs": [1.0]}]})
+    commands.append(["mix", "q1-product.json", "-o", "q1-matrix.json"])
 
     commands += [["scan", "--count", "40", "--q", "2", "--n", "4", "--seed", "7", "-o", "scan2.csv"],
                  ["scan", "--count", "10", "--q", "3", "--n", "3", "--seed", "8", "-o", "scan3.csv"]]

@@ -24,10 +24,9 @@ _EXPORTS = {
                      "check_conditional_preservation", "construct_from_target",
                      "pure_row_measure", "reweight", "solve_row"),
     "process": ("Checkpoint", "CheckpointReport", "RateFunction", "TruncatedProcess",
-                "build_process", "check_checkpoints", "delta_matrix", "rate_R",
-                "validate_rate"),
-    "concentration": ("bounds_report", "coupling_matrices", "kontram_bound", "op_norm_2",
-                      "op_norm_inf", "samson_bound"),
+                "build_process", "check_checkpoints", "delta_matrix", "rate_R"),
+    "concentration": ("bounds_report", "coupling_matrices", "op_norm_2", "op_norm_inf",
+                      "samson_bound"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -104,8 +104,7 @@ def _cmd_scan(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     space = SeqSpace(args.q, args.n, args.state_cap)
-    mus = [random_measure(space, rng=rng) for _ in range(args.count)]
-    rows = conjecture_scan(mus)
+    rows = conjecture_scan(random_measure(space, rng=rng) for _ in range(args.count))
     fileio.write_scan(args.output, rows)
     bad = sum(not r.satisfied for r in rows)
     print(f"wrote {args.output}; {len(rows)} measures scanned, {bad} violations")

@@ -65,17 +65,6 @@ def samson_bound(gamma: np.ndarray, t: float) -> float:
     return _deviation(op_norm_2(gamma), t)
 
 
-def kontram_bound(delta: np.ndarray, t: float, norm_choice: str = "inf") -> float:
-    """Deviation bound 2 * exp(-t^2 / (2 * ||Delta||^2)), norm selectable."""
-    if norm_choice == "inf":
-        s = op_norm_inf(delta)
-    elif norm_choice == "2":
-        s = op_norm_2(delta)
-    else:
-        raise ValueError(f"norm_choice must be 'inf' or '2', got {norm_choice!r}")
-    return _deviation(s, t)
-
-
 def bounds_report(h: MixingMatrix, t: float) -> dict:
     """All bounds for one deviation level t, plus the Delta norms used.
 

@@ -24,7 +24,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import DEFAULT_STATE_CAP, FileFormatError, StateCapExceeded
+from .errors import DEFAULT_STATE_CAP, FileFormatError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -225,10 +225,6 @@ def _load(path: str) -> dict:
     return obj
 
 
-def read_measure(path: str, state_cap: int = DEFAULT_STATE_CAP) -> FiniteMeasure:
-    return _parse_measure_obj(_load(path), state_cap)
-
-
 # --------------------------------------------------------------------------
 # mixing matrices
 
@@ -250,13 +246,7 @@ def read_matrix(path: str) -> MixingMatrix:
         or any(not isinstance(r, list) or len(r) != n for r in entries)
     ):
         raise FileFormatError(f"entries must be an {n}-by-{n} array")
-    # type(), not isinstance: a JSON true reads as a bool, which is an int
-    if not all(type(x) is float or type(x) is int for r in entries for x in r):
-        raise FileFormatError("each matrix row must be a list of numbers")
-    try:
-        v = np.array(entries, dtype=np.float64)
-    except OverflowError as exc:  # an integer literal past the float range
-        raise FileFormatError(f"each matrix row: {exc}") from exc
+    v = np.array([_floats(r, "each matrix row") for r in entries])
     if not np.all(np.isfinite(v)):
         raise FileFormatError("matrix entries must be finite numbers")
     return MixingMatrix(v)
@@ -283,10 +273,9 @@ def read_product(path: str, state_cap: int = DEFAULT_STATE_CAP) -> ProductMeasur
     comps = obj["components"]
     if not isinstance(comps, list) or not comps:
         raise FileFormatError("product file needs a nonempty components list")
+    parsed = tuple(_parse_measure_obj(c, state_cap) for c in comps)
     try:
-        pm = ProductMeasure(tuple(_parse_measure_obj(c, state_cap) for c in comps))
-    except (FileFormatError, StateCapExceeded):
-        raise
+        pm = ProductMeasure(parsed)
     except ValueError as exc:
         raise FileFormatError(f"inconsistent product components: {exc}") from exc
     if "n" in obj and _strict_int(obj["n"], "n") != pm.n:

@@ -91,11 +91,6 @@ def _rate_violations(values: tuple[int, ...]):
             yield "r({}) = {} < r({}) = {}", (n, values[n - 1], n - 1, values[n - 2])
 
 
-def validate_rate(r: RateFunction) -> list[str]:
-    """Violations of the validity conditions: 1 <= r(n) <= n, nondecreasing."""
-    return [template.format(*fields) for template, fields in _rate_violations(r.values)]
-
-
 def _admits(rn: int, n: int, k: int, eps: float) -> bool:
     """n admits checkpoint k: min(r(n), n - k) / r(n) >= 1 - eps."""
     return 1.0 - eps <= min(rn, n - k) / rn

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from etamix import (
+    MixingMatrix,
     ProductMeasure,
     RateFunction,
     ValidRow,
+    bounds_report,
     build_process,
     check_checkpoints,
     check_conditional_preservation,
@@ -22,7 +24,6 @@ from etamix import (
     construct_from_target,
     eta_bar,
     factored_mixing_matrix,
-    kontram_bound,
     marginal,
     materialize,
     mixing_matrix,
@@ -227,7 +228,7 @@ def test_criterion_7_factor_two_inequality_and_scan(batch_500):
 
 
 def test_criterion_8_concentration_arithmetic():
-    kont = kontram_bound(np.eye(3), 1.0)
+    kont = bounds_report(MixingMatrix.zeros(3), 1.0)["kontram_inf"]
     kont_dev = abs(kont - 2.0 * math.exp(-0.5))
     m = [[1.0, 1.0], [0.0, 1.0]]
     want = oracles.spectral_norm_2x2_charpoly(m)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import etamix.construction as construction
+import etamix.measures
+import etamix.mixing
 from etamix import (
     MixingMatrix,
     ProductMeasure,
@@ -21,7 +23,6 @@ from etamix.fileio import (
     FORMAT_VERSION,
     atomic_write,
     read_matrix,
-    read_measure,
     read_product,
     write_matrix,
     write_measure,
@@ -94,7 +95,7 @@ class TestMix:
         m, out, want = (str(tmp_path / f) for f in ("m.json", "h.json", "want.json"))
         write_measure(m, random_full_support(3, 4, np.random.default_rng(6)))
         assert main(["mix", m, "-o", out]) == 0
-        write_matrix(want, mixing_matrix(read_measure(m)))
+        write_matrix(want, mixing_matrix(read_product(m).components[0]))
         assert Path(out).read_bytes() == Path(want).read_bytes()
 
     def test_construct_output_reads_back(self, tmp_path):
@@ -213,7 +214,7 @@ class TestProduct:
         write_measure(b, copy_chain(2))
         r = run_cli("product", a, b, "-o", out)
         assert r.returncode == 0, r.stderr
-        joint = read_measure(out)
+        joint = read_product(out).components[0]
         assert joint.q == 4 and joint.n == 2
         e = mixing_matrix(joint).entries
         assert e[0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -226,7 +227,7 @@ class TestProduct:
         assert main(["product", pm, m, "-o", out]) == 0
         comps = (*read_product(pm).components, copy_chain(3))
         want = materialize(ProductMeasure(comps))
-        assert np.array_equal(read_measure(out).probs, want.probs)
+        assert np.array_equal(read_product(out).components[0].probs, want.probs)
 
     def test_length_mismatch_exits_2(self, tmp_path, target_file, capsys):
         pm, m, out = (str(tmp_path / f) for f in ("pm.json", "m.json", "joint.json"))
@@ -498,6 +499,18 @@ class TestScan:
         r = run_cli("scan", "--count", "0", "-o", str(tmp_path / "s.csv"))
         assert r.returncode == 2
 
+    def test_one_measure_at_a_time(self, tmp_path, monkeypatch):
+        # the k-th row is computed after exactly k draws, so no draw waits in a list
+        draws, seen = [], []
+        real_draw, real_phi = etamix.measures.random_measure, etamix.mixing.phi_vector
+        monkeypatch.setattr(etamix.measures, "random_measure",
+                            lambda *a, **kw: draws.append(1) or real_draw(*a, **kw))
+        monkeypatch.setattr(etamix.mixing, "phi_vector",
+                            lambda mu: seen.append(len(draws)) or real_phi(mu))
+        out = str(tmp_path / "s.csv")
+        assert main(["scan", "--count", "4", "--n", "3", "-o", out]) == 0
+        assert seen == [1, 2, 3, 4]
+
 
 class TestUnwritableOutput:
     COMMANDS = {
@@ -577,6 +590,34 @@ class TestExitLines:
         assert main(["rate", str(path), "-o", str(out)]) == code
         assert capsys.readouterr().err == line
         assert not out.exists()
+
+    MATRIX = {
+        "true entry": ([[0, True], [0, 0]],
+                       "error: each matrix row must be a list of numbers\n"),
+        "huge int": ([[0, 10**400], [0, 0]],
+                     "error: each matrix row: int too large to convert to float\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(MATRIX))
+    def test_matrix(self, tmp_path, case, capsys):
+        entries, line = self.MATRIX[case]
+        path, out = tmp_path / "h.json", tmp_path / "b.json"
+        path.write_text(json.dumps({"n": 2, "entries": entries}))
+        assert main(["bounds", str(path), "--t", "1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
+    def test_product_component_reads_as_a_measure(self, tmp_path, capsys):
+        # a component's own error is not a product inconsistency
+        bad = {"q": 1, "n": 2, "probs": [1.0]}
+        m, pm = tmp_path / "m.json", tmp_path / "pm.json"
+        m.write_text(json.dumps(bad))
+        pm.write_text(json.dumps({"components": [bad]}))
+        errs = []
+        for path in (m, pm):
+            assert main(["mix", str(path), "-o", str(tmp_path / "h.json")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["error: need q >= 2 and n >= 1, got q=1 n=2\n"] * 2
 
     def test_state_cap(self, tmp_path, capsys):
         m = str(tmp_path / "m.json")

@@ -11,7 +11,6 @@ from etamix import (
     TargetInvalid,
     bounds_report,
     coupling_matrices,
-    kontram_bound,
     op_norm_2,
     op_norm_inf,
     samson_bound,
@@ -105,10 +104,11 @@ class TestBounds:
     def test_at_t_zero_both_equal_two(self):
         eye = np.eye(3)
         assert samson_bound(eye, 0.0) == 2.0
-        assert kontram_bound(eye, 0.0) == 2.0
+        rep = bounds_report(MixingMatrix.zeros(3), 0.0)
+        assert rep["kontram_inf"] == rep["kontram_2"] == 2.0
 
     def test_identity_delta_hand_value(self):
-        assert kontram_bound(np.eye(2), 1.0) == pytest.approx(
+        assert bounds_report(MixingMatrix.zeros(2), 1.0)["kontram_inf"] == pytest.approx(
             2.0 * math.exp(-0.5), abs=1e-15
         )
 
@@ -121,16 +121,12 @@ class TestBounds:
         with pytest.raises(ValueError):
             samson_bound(np.eye(2), -1.0)
         with pytest.raises(ValueError):
-            kontram_bound(np.eye(2), -0.5)
-
-    def test_norm_choice_validated(self):
-        with pytest.raises(ValueError):
-            kontram_bound(np.eye(2), 1.0, norm_choice="fro")
+            bounds_report(MixingMatrix.zeros(2), -0.5)
 
     def test_spectral_variant_is_tighter_for_this_target(self):
         h = MixingMatrix([[0.0, 0.6, 0.4], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
-        _, delta = coupling_matrices(h)
-        assert kontram_bound(delta, 1.0, "2") < kontram_bound(delta, 1.0, "inf")
+        rep = bounds_report(h, 1.0)
+        assert rep["kontram_2"] < rep["kontram_inf"]
 
 
 class TestBoundsReport:
@@ -165,5 +161,5 @@ class TestBoundsReport:
         assert len(calls) == 2
         gamma, delta = coupling_matrices(h)
         assert rep["samson"] == samson_bound(gamma, 1.5)
-        assert rep["kontram_inf"] == kontram_bound(delta, 1.5, "inf")
-        assert rep["kontram_2"] == kontram_bound(delta, 1.5, "2")
+        assert rep["kontram_inf"] == concentration._deviation(op_norm_inf(delta), 1.5)
+        assert rep["kontram_2"] == concentration._deviation(op_norm_2(delta), 1.5)

@@ -32,7 +32,6 @@ from etamix.fileio import (
     _float_list,
     atomic_write,
     read_matrix,
-    read_measure,
     read_process_spec,
     read_product,
     write_bounds,
@@ -87,7 +86,7 @@ class TestMeasureRoundTrip:
         mu = random_measure(3, 3, rng=np.random.default_rng(2))
         p = str(tmp_path / "m.json")
         write_measure(p, mu)
-        back = read_measure(p)
+        back = read_product(p).components[0]
         assert back.space == mu.space
         assert np.allclose(back.probs, mu.probs, atol=1e-15)
 
@@ -115,7 +114,7 @@ class TestMeasureRoundTrip:
         p = str(tmp_path / "m.json")
         drifted = [0.25 * (1 + 5e-10)] * 4
         atomic_write(p, json.dumps({"q": 2, "n": 2, "probs": drifted}))
-        mu = read_measure(p)
+        mu = read_product(p).components[0]
         assert abs(float(mu.probs.sum()) - 1.0) < 1e-12
 
     def test_large_drift_rejected(self, tmp_path):
@@ -123,41 +122,41 @@ class TestMeasureRoundTrip:
         drifted = [0.25 * (1 + 2e-9)] * 4
         atomic_write(p, json.dumps({"q": 2, "n": 2, "probs": drifted}))
         with pytest.raises(FileFormatError):
-            read_measure(p)
+            read_product(p)
 
     def test_negative_prob_rejected(self, tmp_path):
         p = str(tmp_path / "m.json")
         atomic_write(p, json.dumps({"q": 2, "n": 1, "probs": [1.5, -0.5]}))
         with pytest.raises(FileFormatError):
-            read_measure(p)
+            read_product(p)
 
     def test_wrong_length_rejected(self, tmp_path):
         p = str(tmp_path / "m.json")
         atomic_write(p, json.dumps({"q": 2, "n": 2, "probs": [0.5, 0.5]}))
         with pytest.raises(FileFormatError):
-            read_measure(p)
+            read_product(p)
 
     def test_missing_field_rejected(self, tmp_path):
         p = str(tmp_path / "m.json")
         atomic_write(p, json.dumps({"q": 2, "probs": [0.5, 0.5]}))
         with pytest.raises(FileFormatError):
-            read_measure(p)
+            read_product(p)
 
     def test_invalid_json_rejected(self, tmp_path):
         p = str(tmp_path / "m.json")
         atomic_write(p, "{not json")
         with pytest.raises(FileFormatError):
-            read_measure(p)
+            read_product(p)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileFormatError):
-            read_measure(str(tmp_path / "absent.json"))
+            read_product(str(tmp_path / "absent.json"))
 
     def test_state_cap_respected(self, tmp_path):
         p = str(tmp_path / "m.json")
         write_measure(p, uniform(4, 3))
         with pytest.raises(StateCapExceeded):
-            read_measure(p, state_cap=10)
+            read_product(p, state_cap=10)
 
     @pytest.mark.parametrize(
         "obj",
@@ -172,12 +171,13 @@ class TestMeasureRoundTrip:
         p = str(tmp_path / "m.json")
         atomic_write(p, json.dumps(obj))
         with pytest.raises(FileFormatError, match="must be an integer"):
-            read_measure(p)
+            read_product(p)
 
     def test_integral_float_fields_accepted(self, tmp_path):
         p = str(tmp_path / "m.json")
         atomic_write(p, json.dumps({"q": 2.0, "n": 1.0, "probs": [0.5, 0.5]}))
-        assert (read_measure(p).q, read_measure(p).n) == (2, 1)
+        mu = read_product(p).components[0]
+        assert (mu.q, mu.n) == (2, 1)
 
 
 class TestMatrixRoundTrip:

@@ -23,7 +23,6 @@ from etamix import (
     series_product,
     solve_row,
     uniform,
-    validate_rate,
 )
 from etamix.concentration import op_norm_inf
 
@@ -62,15 +61,17 @@ class TestRateFunction:
     def test_builtins_are_valid(self):
         for r in (RateFunction.sqrt(30), RateFunction.linear(30),
                   RateFunction.constant(4, 30)):
-            assert validate_rate(r) == []
+            assert build_process(r, k_max=1, n_max=30).k_max == 1
 
     def test_validate_flags_out_of_range(self):
-        assert validate_rate(RateFunction((1, 3)))  # r(2) > 2
-        assert validate_rate(RateFunction((0, 1)))  # r(1) < 1
+        for values in ((1, 3), (0, 1)):  # r(2) > 2, r(1) < 1
+            with pytest.raises(ValueError, match="invalid rate"):
+                build_process(RateFunction(values), k_max=1, n_max=2)
 
     def test_validate_flags_decrease(self):
-        msgs = validate_rate(RateFunction((1, 2, 1)))
-        assert any("r(3)" in m for m in msgs)
+        with pytest.raises(ValueError, match="invalid rate") as exc:
+            build_process(RateFunction((1, 2, 1)), k_max=1, n_max=3)
+        assert "r(3)" in str(exc.value)
 
 
 def _first_horizon(values, k, eps):
