@@ -1,15 +1,19 @@
 """Concentration bounds driven by a mixing matrix.
 
-For a function of n coordinates that is 1-Lipschitz in Hamming distance (or
-convex 1-Lipschitz for the spectral bound), deviation probabilities obey
+H is the strictly-upper-triangular mixing matrix, Gamma = I + sqrt(H)
+entrywise and Delta = I + H.  ``bounds_report`` writes three values of
+2 * exp(-t**2 / (2 * s**2)), each a bound on P(|f - E f| >= t) only for
+the functions its source covers:
 
-    2 * exp(-t**2 / (2 * ||Gamma||_2**2))      with Gamma = I + sqrt(H)
-    2 * exp(-t**2 / (2 * ||Delta||**2))        with Delta = I + H
-
-where H is the strictly-upper-triangular mixing matrix, the square root is
-entrywise, and ||Delta|| is taken either as the max row sum or as the
-spectral norm.  The max row sum is summed directly; the spectral norm is
-the largest singular value from numpy's LAPACK-backed ``norm(m, 2)``.
+* ``kontram_inf``, s = ||Delta||_inf (max row sum): Kontorovich & Ramanan
+  (Ann. Probab. 2008), Theorem 1.1, give 2 * exp(-t**2 / (2 n c**2 s**2))
+  for f c-Lipschitz in Hamming distance.  The formula is the case
+  n c^2 = 1, as for f = sum_i x_i / sqrt(n); it does not cover sum_i x_i.
+* ``samson``, s = ||Gamma||_2: Samson (Ann. Probab. 2000), for convex f
+  1-Lipschitz in Euclidean distance, with Gamma built from that paper's
+  mixing coefficients; eta_bar stands in for them, which is not proven.
+* ``kontram_2``, s = ||Delta||_2: no source for this form was found, so it
+  is a number, not a proven bound.
 """
 from __future__ import annotations
 

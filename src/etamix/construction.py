@@ -21,12 +21,13 @@ visited positions after t (v_s = 1/2 cancels), f(v) = sum_b |v s_b - r_b|
 for r = T reversed and s = T + r, convex and linear between breakpoints
 r_b / s_b.  So v_t solves one linear equation, on the piece found by sorting
 the breakpoints, at O(|T| log |T|) with |T| <= 2^(solved positions).
-:func:`solve_row` returns the flip vector as a :class:`PureRow`, whose
-mixing matrix is closed-form too and is the one evaluation of a row's
-cells.  Its 2^n atoms have one replay: the uniform measure tilted by
-:func:`reweight` at each t with v_t != 1/2, in visit order, and nowhere
-else.  :meth:`PureRow.dense` and the dense reference :func:`pure_row_measure`
-(which also records eta_bar after each visit) both run it, bit for bit.
+:func:`solve_row` returns the flip vector as a :class:`PureRow`, which
+keeps only the pairs (t, v_t) with v_t != 1/2 and whose mixing matrix is
+closed-form too, the one evaluation of a row's cells.  Its 2^n atoms have
+one replay: the uniform measure tilted by :func:`reweight` at each stored
+pair, in visit order, and nowhere else.  :meth:`PureRow.dense` and the
+dense reference :func:`pure_row_measure` (which also records eta_bar after
+each visit) both run it, bit for bit.
 
 Ascending order, kept only in the dense pure_row_measure(order="forward")
 for demonstration, solves each cell as if the later positions were
@@ -43,6 +44,7 @@ valid target matrix; see :func:`construct_from_target`.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +105,9 @@ class PureRow:
     """Flip-vector form of a pure row-k measure on {0,1}^n.
 
     X_1, ..., X_k are iid fair bits and, independently for each t > k, X_t
-    equals X_k with probability ``v[t-k-1]``.  The mixing matrix and the
-    dense measure are both computed from v, and nothing else is kept.
+    equals X_k with probability v_t.  ``flips`` holds the pairs (t, v_t)
+    with v_t != 1/2, ascending in t, and nothing else: every other X_t is a
+    fair bit.  A measure has one spelling, so ``==`` compares measures.
 
     A product component is anything with ``n``, ``q``, ``dense()`` and
     ``rows()``, as a PureRow and a FiniteMeasure both are; :meth:`dense`
@@ -113,10 +116,16 @@ class PureRow:
 
     n: int
     k: int
-    v: tuple[float, ...]
+    flips: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", _unit_values(self.n, self.k, self.v, "flip probability"))
+        flips = tuple((operator.index(t), float(v)) for t, v in self.flips)
+        object.__setattr__(self, "flips", flips)
+        ts = [self.k, *(t for t, _ in flips), self.n + 1]
+        if not (1 <= self.k < self.n and all(a < b for a, b in zip(ts, ts[1:]))):
+            raise ValueError(f"need 1 <= k < t_1 < ... <= n: k={self.k}, t={ts[1:-1]}, n={self.n}")
+        if any(not 0.0 <= v <= 1.0 or v == 0.5 for _, v in flips):
+            raise ValueError(f"each flip probability must lie in [0, 1] and not be 1/2: {flips}")
 
     @property
     def q(self) -> int:
@@ -128,19 +137,19 @@ class PureRow:
         Given the first k bits, the later ones depend on X_k alone, so row k
         is the prefix's only nonzero row, and cell (k, t) is
         TV(prod_{t<=s<=m} Bern(v_s), its bit-flip mirror).  A cell changes
-        only where v_s != 1/2; those positions are visited from m down, each
-        run between two filled by one slice, with no 2^m measure.
+        only at a stored flip; those are visited from m down, each run
+        between two filled by one slice, with no 2^m measure.
         """
         if not 1 <= m <= self.n:
             raise ValueError(f"prefix length {m} outside 1..{self.n}")
-        v = np.asarray(self.v[: max(m - self.k, 0)])
-        out = np.zeros(v.size)
-        tail, cell, hi = np.ones(1), 0.0, v.size
-        for j in np.flatnonzero(v != 0.5)[::-1].tolist():
-            out[j + 1 : hi] = cell
-            cell = _flip_cell(tail, v[j])
-            tail = np.kron([v[j], 1.0 - v[j]], tail)
-            hi = j + 1
+        out = np.zeros(max(m - self.k, 0))
+        tail, cell, hi = np.ones(1), 0.0, out.size
+        for t, v in reversed(self.flips):
+            if t <= m:
+                out[t - self.k : hi] = cell
+                cell = _flip_cell(tail, v)
+                tail = np.kron([v, 1.0 - v], tail)
+                hi = t - self.k
         out[:hi] = cell
         return out
 
@@ -149,15 +158,13 @@ class PureRow:
         return ((self.k, self.row(self.n)),)
 
     def dense(self) -> FiniteMeasure:
-        """The uniform measure tilted at each t with v_t != 1/2, from t = n
-        down: the measure :func:`pure_row_measure` returns in its default
-        order, bit for bit, checked as a measure once."""
+        """The uniform measure tilted at each stored flip, from t = n down:
+        the measure :func:`pure_row_measure` returns in its default order,
+        bit for bit, checked as a measure once."""
         mu = uniform(SeqSpace(2, self.n))
         probs = mu.probs
-        for t in range(self.n, self.k, -1):
-            v = self.v[t - self.k - 1]
-            if v != 0.5:
-                probs = _tilt(probs, self.k, t, v)
+        for t, v in reversed(self.flips):
+            probs = _tilt(probs, self.k, t, v)
         return FiniteMeasure(mu.space, probs)
 
 
@@ -250,25 +257,25 @@ def _flip_solve(tail: np.ndarray, target: float) -> float:
 
 
 def solve_row(row: ValidRow) -> tuple[PureRow, tuple[TraceStep, ...]]:
-    """Flip vector for ``row``, solved on the closed-form cell from t = n down
-    (ascending order lives only in the dense :func:`pure_row_measure`).
+    """Flip vector for ``row``, solved on the closed-form cell from t = n down.
 
     A target equal to the one at t+1 keeps v = 1/2, the identity tilt of
-    :func:`reweight`.  Returns the :class:`PureRow` and one step per
-    position in visit order, whose ``achieved`` is read from the row's own
-    :meth:`PureRow.row`.  Builds no dense measure.  Raises :class:`SolveError`
-    when a cell misses its target by more than SOLVE_TOL.
+    :func:`reweight`, and stores no pair.  Returns the :class:`PureRow` and
+    one step per position in visit order, whose ``achieved`` is read from
+    the row's own :meth:`PureRow.row`.  Builds no dense measure.  Raises
+    :class:`SolveError` when a cell misses its target by more than SOLVE_TOL.
     """
     k, n = row.k, row.n
-    vs = []
+    vs, flips = [], []
     tail = np.ones(1)  # law of the flips after t; v = 1/2 cancels and is left out
     for t in range(n, k, -1):
         target = row.target(t)
         v = 0.5 if t < n and target == row.target(t + 1) else _flip_solve(tail, target)
         if v != 0.5:
             tail = np.kron([v, 1.0 - v], tail)
+            flips.append((t, v))
         vs.append(v)
-    pr = PureRow(n, k, tuple(reversed(vs)))
+    pr = PureRow(n, k, tuple(reversed(flips)))
     visits = zip(range(n, k, -1), vs, reversed(pr.row(n).tolist()))
     steps = tuple(TraceStep(t, v, c, c - row.target(t)) for t, v, c in visits)
     worst = max(steps, key=lambda s: abs(s.residual))
@@ -307,8 +314,7 @@ def pure_row_measure(row: ValidRow, order: str = "backward", return_iterates: bo
     else:
         raise ValueError(f"unknown order {order!r}")
     mu = uniform(SeqSpace(2, n))
-    iterates = [mu]
-    steps = []
+    iterates, steps = [mu], []
     for t, v in zip(ts, vs):
         if v != 0.5:
             mu = reweight(mu, k, t, v)

@@ -331,12 +331,9 @@ def read_process_spec(path: str):
 
 
 def write_traces(path: str, traces: list[ConstructionTrace]) -> None:
+    # a step's fields in order: t, v_star, achieved, residual
     _write_json(path, {"components": [
-        {"k": tr.k, "steps": [
-            {"t": s.t, "v_star": s.v_star, "achieved": s.achieved, "residual": s.residual}
-            for s in tr.steps
-        ]}
-        for tr in traces
+        {"k": tr.k, "steps": [vars(s) for s in tr.steps]} for tr in traces
     ]})
 
 

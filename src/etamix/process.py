@@ -10,17 +10,17 @@ build_process picks, for each checkpoint k, the smallest horizon n_k with
 which is h (n_k - k) / r(n_k) for the largest constant row value
 h = min(1, r(n_k) / (n_k - k)) that keeps it <= 1.  As h is always 1 (see
 build_process), component k is the copy X_{n_k} = X_k over iid fair bits,
-and the checkpoint table is the whole process: ``components`` builds the
-copies as :class:`~etamix.construction.PureRow` flip vectors only when read.
+and the checkpoint table is the whole process: ``components`` builds each
+copy when read, a :class:`~etamix.construction.PureRow` on {0,1}^(n_max)
+whose one flip is (n_k, 1), so the components form a product measure.
 
-Components run in parallel, padded beyond their natural length by
-independent fair bits that add nothing to any cell, and component k lives
-on row k, so no two add on one row.  Row k of the length-m prefix is zero
-for m < n_k and n_k - k ones from n_k on, so R(n) is 1 plus the largest
-n_j - j over horizons n_j <= n.  check_checkpoints reads that off the
-table in one pass; rate_R and delta_matrix read the components' rows and
-are its test oracles.  Only those and ``components`` load numpy and the
-construction engine, so building and auditing a process is pure Python.
+Component k lives on row k, so no two add on one row.  Row k of the
+length-m prefix is zero for m < n_k and n_k - k ones from n_k on, so R(n)
+is 1 plus the largest n_j - j over horizons n_j <= n.  check_checkpoints
+reads that off the table in one pass; rate_R and delta_matrix read the
+components' rows and are its test oracles.  Only those and ``components``
+load numpy and the construction engine, so building and auditing a
+process is pure Python.
 """
 from __future__ import annotations
 
@@ -117,8 +117,7 @@ class Checkpoint:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedProcess:
-    """Parallel family of copy components padded by independent fair bits,
-    held as its checkpoint table."""
+    """Parallel product of copy components, held as its checkpoint table."""
 
     rate: RateFunction
     n_max: int
@@ -130,12 +129,10 @@ class TruncatedProcess:
 
     @functools.cached_property
     def components(self) -> tuple[PureRow, ...]:
-        """``components[k-1]``: the copy X_{n_k} = X_k on {0,1}^(n_k) at its
-        natural length, built on first read; padding beyond n_k is implicit."""
+        """``components[k-1]``: the copy X_{n_k} = X_k on {0,1}^(n_max), built when read."""
         from .construction import PureRow
 
-        return tuple(PureRow(cp.n, cp.k, (0.5,) * (cp.n - cp.k - 1) + (1.0,))
-                     for cp in self.checkpoints)
+        return tuple(PureRow(self.n_max, cp.k, ((cp.n, 1.0),)) for cp in self.checkpoints)
 
 
 def build_process(
@@ -161,9 +158,7 @@ def build_process(
     h_k is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the first
     horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
     nondecreasing, so r(n-1) = n-1-k: horizon n-1 has ratio exactly 1 and
-    admits k first.  So component k is the copy X_{n_k} = X_k: the process
-    is its checkpoint table, its components are built when read, and
-    check_checkpoints audits it in one pass over the horizons.
+    admits k first.  So component k is the copy X_{n_k} = X_k.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -201,16 +196,14 @@ def build_process(
 
 
 def delta_matrix(p: TruncatedProcess, n: int) -> np.ndarray:
-    """Unit-diagonal coefficient matrix of the length-n prefix: the identity
-    with each component's row, of its min(n, n_k) prefix, written into row k."""
+    """Unit-diagonal coefficient matrix of the length-n prefix: I plus each component's row."""
     if not 1 <= n <= p.n_max:
         raise ValueError(f"n={n} outside 1..{p.n_max}")
     import numpy as np
 
     delta = np.eye(n)
     for c in p.components[: n - 1]:  # component k lives on row k < n
-        m = min(n, c.n)
-        delta[c.k - 1, c.k : m] = c.row(m)
+        delta[c.k - 1, c.k :] = c.row(n)
     return delta
 
 
@@ -218,7 +211,7 @@ def rate_R(p: TruncatedProcess, n: int) -> float:
     """Mixing rate at horizon n: max row sum of the prefix Delta matrix."""
     if not 1 <= n <= p.n_max:
         raise ValueError(f"n={n} outside 1..{p.n_max}")
-    return 1.0 + max(float(c.row(min(n, c.n)).sum()) for c in p.components)
+    return 1.0 + max(float(c.row(n).sum()) for c in p.components)
 
 
 @dataclass(frozen=True)

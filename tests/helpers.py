@@ -15,6 +15,12 @@ def copy_chain(n: int) -> FiniteMeasure:
     return FiniteMeasure(space, probs)
 
 
+def flip_pairs(k: int, v) -> tuple:
+    """The (t, v_t) pairs a PureRow keeps for the flip vector v over
+    positions k+1, k+2, ...: the halves dropped."""
+    return tuple((t, x) for t, x in enumerate(v, start=k + 1) if x != 0.5)
+
+
 def random_full_support(q: int, n: int, rng: np.random.Generator) -> FiniteMeasure:
     weights = rng.uniform(0.0, 1.0, size=q**n) + 1e-12
     return from_weights(SeqSpace(q, n), weights)

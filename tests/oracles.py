@@ -42,6 +42,32 @@ class FlipLawExact:
         return self._atoms[x]
 
 
+def flip_cells_exact(n: int, k: int, flips):
+    """Cells (k, k+1), ..., (k, n) of a flip-vector law as Fractions.
+
+    ``flips`` are the (t, v_t) pairs with v_t != 1/2; every other position
+    is a fair bit and cancels.  Cell (k, t) is the TV between the law of the
+    flips at positions s >= t and its mirror, which flips every bit.  Each v
+    must be a multiple of 2^-53 in [0, 1], so v = a / 2^53 for an integer a
+    and the law of m flips is a list of integer products over 2^(53 m).
+    """
+    one = 2**53
+    weight = {}
+    for t, v in flips:
+        a = Fraction(v) * one
+        assert 0 <= a <= one and a.denominator == 1, f"v={v!r} is no multiple of 2^-53 in [0, 1]"
+        weight[t] = int(a)
+    law, m, cells = [1], 0, []
+    for t in range(n, k, -1):
+        if t in weight:  # the new flip is the top bit: 0 agrees with x_k, 1 differs
+            law = [weight[t] * p for p in law] + [(one - weight[t]) * p for p in law]
+            m += 1
+        mirror = (1 << m) - 1
+        diff = sum(abs(p - law[b ^ mirror]) for b, p in enumerate(law))
+        cells.append(Fraction(diff, 2 * one**m))
+    return cells[::-1]
+
+
 def block_law_slow(mu: FiniteMeasure, prefix: tuple[int, ...], j: int):
     """Law of (X_j, ..., X_n) given a prefix, or None when the prefix is null."""
     total = 0

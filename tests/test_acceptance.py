@@ -258,7 +258,8 @@ def test_criterion_9_forward_order_failure_witness():
     fwd_c, fwd_trace = pure_row_measure(contrast, order="forward")
     bwd_c = pure_row_measure(contrast)[0].probs
     fwd_v = np.array([s.v_star for s in fwd_trace.steps])
-    agree = fwd_v.tobytes() == np.array(solve_row(contrast)[0].v).tobytes() and bool(
+    bwd_v = np.array([s.v_star for s in reversed(solve_row(contrast)[1])])
+    agree = fwd_v.tobytes() == bwd_v.tobytes() and bool(
         np.all(np.abs(fwd_c.probs - bwd_c) <= 4 * np.spacing(bwd_c))
     )
     cells = ", ".join(

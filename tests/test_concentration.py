@@ -163,3 +163,34 @@ class TestBoundsReport:
         assert rep["samson"] == samson_bound(gamma, 1.5)
         assert rep["kontram_inf"] == concentration._deviation(op_norm_inf(delta), 1.5)
         assert rep["kontram_2"] == concentration._deviation(op_norm_2(delta), 1.5)
+
+
+class TestWhatTheBoundCovers:
+    """kontram_inf on iid fair bits (Delta = I) against seeded draws of the
+    sum S of n bits, P(|f - E f| >= t) read off 200,000 draws."""
+
+    DRAWS = 200_000
+
+    def _tail(self, rng, n, threshold):
+        s = rng.binomial(n, 0.5, size=self.DRAWS)
+        return float(np.mean(np.abs(s - n / 2) >= threshold))
+
+    def _margin(self, p):
+        return 4.0 * math.sqrt(p * (1.0 - p) / self.DRAWS) if p < 1.0 else 0.0
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_scaled_sum_stays_under(self, n):
+        # f = S / sqrt(n) changes by 1/sqrt(n) per coordinate: n c^2 = 1
+        rng = np.random.default_rng(0)
+        for t in (0.5, 1.0, 1.5, 2.0, 2.5):
+            bound = bounds_report(MixingMatrix.zeros(n), t)["kontram_inf"]
+            p = self._tail(rng, n, t * math.sqrt(n))
+            assert p <= bound + self._margin(min(bound, 1.0))
+
+    def test_unscaled_sum_is_a_witness(self):
+        # f = S is 1-Lipschitz in Hamming distance, outside the bound's reach
+        rng = np.random.default_rng(0)
+        bound = bounds_report(MixingMatrix.zeros(100), 5.0)["kontram_inf"]
+        p = self._tail(rng, 100, 5.0)
+        assert bound == pytest.approx(7.5e-6, rel=0.01)
+        assert p - self._margin(p) > bound and p == pytest.approx(0.367, abs=0.01)

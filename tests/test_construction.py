@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +27,8 @@ from etamix import (
     uniform,
 )
 
-from helpers import random_valid_target
-from oracles import FlipLawExact, mixing_matrix_slow
+from helpers import flip_pairs, random_valid_target
+from oracles import FlipLawExact, flip_cells_exact, mixing_matrix_slow
 
 
 class TestValidRow:
@@ -312,8 +314,9 @@ class TestVisitOrder:
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
         fwd, fwd_trace = pure_row_measure(row, order="forward")
         fwd_v = np.array([s.v_star for s in fwd_trace.steps])
-        assert fwd_v.tobytes() == np.array(solve_row(row)[0].v).tobytes()
-        assert solve_row(row)[0].v == (0.9, 0.75, 0.6)
+        pr, steps = solve_row(row)
+        assert fwd_v.tobytes() == np.array([s.v_star for s in reversed(steps)]).tobytes()
+        assert pr.flips == ((2, 0.9), (3, 0.75), (4, 0.6))
         bwd, _ = pure_row_measure(row)
         assert np.all(np.abs(fwd.probs - bwd.probs) <= 4 * np.spacing(bwd.probs))
 
@@ -385,16 +388,16 @@ class TestClosedFormCell:
         pr, steps = solve_row(row)
         assert pr.dense().probs.tobytes() == mu.probs.tobytes()
         assert [s.v_star for s in steps] == [s.v_star for s in trace.steps]
-        assert pr.v == tuple(s.v_star for s in reversed(trace.steps))
+        assert pr.flips == flip_pairs(k, [s.v_star for s in reversed(trace.steps)])
 
 
 @st.composite
-def _valid_rows(draw):
-    """ValidRows with n <= 8; half of them with one entry one float spacing
-    above its right-hand neighbour, where a solve may land on v = 1/2."""
-    n = draw(st.integers(2, 8))
+def _valid_rows(draw, n_hi=8, level=st.floats(0.0, 1.0)):
+    """ValidRows with n <= n_hi; half of them with one entry one float
+    spacing above its right-hand neighbour, where a solve may land on v = 1/2."""
+    n = draw(st.integers(2, n_hi))
     k = draw(st.integers(1, n - 1))
-    h = draw(st.lists(st.floats(0.0, 1.0), min_size=n - k, max_size=n - k))
+    h = draw(st.lists(level, min_size=n - k, max_size=n - k))
     h.sort(reverse=True)
     if n - k > 1 and draw(st.booleans()):
         i = draw(st.integers(0, n - k - 2))
@@ -412,23 +415,46 @@ class TestOneReplay:
         assert solve_row(row)[0].dense().probs.tobytes() == mu.probs.tobytes()
 
 
+#: Largest |achieved - exact| allowed for a cell in [0, 1]: four spacings
+#: of the floats just below 1.
+ACHIEVED_TOL = Fraction(4, 2**53)
+
+
+class TestExactCertificate:
+    """The trace's cells against exact rational arithmetic that shares no
+    code with the solve or the row walk."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_valid_rows(14, st.one_of(st.sampled_from([5e-324, 1.0 - 1e-15]),
+                                     st.floats(0.0, 1.0))))
+    @example(ValidRow(4, 1, (1.0 - 1e-15, 1.0 - 1e-15, 5e-324)))
+    @example(ValidRow(14, 1, (0.9,) * 12 + (np.nextafter(0.9, 0.0),)))
+    def test_solved_cells_are_exact(self, row):
+        pr, steps = solve_row(row)
+        exact = flip_cells_exact(row.n, row.k, pr.flips)
+        for s in steps:
+            cell = exact[s.t - row.k - 1]
+            assert abs(cell - Fraction(row.target(s.t))) <= Fraction(construction.SOLVE_TOL)
+            assert abs(Fraction(s.achieved) - cell) <= ACHIEVED_TOL
+
+
 @st.composite
 def _pure_rows(draw):
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, n - 1))
     flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.0, 1.0))
-    return PureRow(n, k, draw(st.lists(flip, min_size=n - k, max_size=n - k)))
+    return PureRow(n, k, flip_pairs(k, draw(st.lists(flip, min_size=n - k, max_size=n - k))))
 
 
 class TestPureRow:
     @settings(max_examples=40, deadline=None)
     @given(_pure_rows())
     # subnormal atoms: a float64 reference puts 1.1e-11 into cell (2, 3)
-    @example(PureRow(3, 1, (2.2250738585e-313, 0.625)))
+    @example(PureRow(3, 1, ((2, 2.2250738585e-313), (3, 0.625))))
     def test_prefix_matrices_match_oracle(self, pr):
-        k = pr.k
+        k, v = pr.k, dict(pr.flips)
         for m in range(1, pr.n + 1):
-            law = FlipLawExact(m, k, pr.v[: max(m - k, 0)])
+            law = FlipLawExact(m, k, [v.get(t, 0.5) for t in range(k + 1, m + 1)])
             want = np.array(mixing_matrix_slow(law), dtype=float)
             row = pr.row(m)
             assert row.shape == (max(m - k, 0),)
@@ -440,7 +466,7 @@ class TestPureRow:
         assert i == k and np.array_equal(cells, pr.row(pr.n))
 
     def test_measure_read_interface(self):
-        pr = PureRow(3, 1, (0.5, 1.0))
+        pr = PureRow(3, 1, ((3, 1.0),))
         assert (pr.q, pr.n) == (2, 3)
 
     def test_dense_checks_one_measure(self, monkeypatch):
@@ -449,11 +475,11 @@ class TestPureRow:
         check = measures.FiniteMeasure.__post_init__
         monkeypatch.setattr(measures.FiniteMeasure, "__post_init__",
                             lambda self: built.append(self) or check(self))
-        PureRow(6, 2, (0.9, 0.5, 0.7, 0.6)).dense()
+        PureRow(6, 2, ((3, 0.9), (5, 0.7), (6, 0.6))).dense()
         assert len(built) == 2
 
     def test_no_dense_measure_for_the_matrix(self):
-        pr = PureRow(60, 7, (0.5,) * 52 + (1.0,))
+        pr = PureRow(60, 7, ((60, 1.0),))
         assert pr.row(60).tolist() == [1.0] * 53
         ((i, cells),) = pr.rows()
         assert i == 7 and cells.tolist() == [1.0] * 53
@@ -464,13 +490,25 @@ class TestPureRow:
         with pytest.raises(ValueError):
             PureRow(3, 3, ())
         with pytest.raises(ValueError):
-            PureRow(3, 1, (0.5,))
+            PureRow(3, 1, ((3, 1.5),))
         with pytest.raises(ValueError):
-            PureRow(3, 1, (0.5, 1.5))
+            PureRow(3, 1, ()).row(4)
         with pytest.raises(ValueError):
-            PureRow(3, 1, (0.5, 0.5)).row(4)
+            PureRow(3, 1, ()).row(0)
+        # numpy scalars and lists read as the one spelling
+        assert PureRow(3, 1, [[np.int64(2), np.float64(0.9)]]) == PureRow(3, 1, ((2, 0.9),))
+
+    @pytest.mark.parametrize("flips", [
+        ((3, 0.9), (2, 0.8)),  # descending
+        ((2, 0.9), (2, 0.8)),  # repeated
+        ((1, 0.9),),  # at k
+        ((4, 0.9),),  # past n
+        ((2, 0.5),),  # a stored half
+        ((2, -0.1),),
+    ])
+    def test_one_spelling_per_measure(self, flips):
         with pytest.raises(ValueError):
-            PureRow(3, 1, (0.5, 0.5)).row(0)
+            PureRow(3, 1, flips)
 
 
 class TestRealizesRandomTargets:

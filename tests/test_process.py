@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import time
 import types
 
 import numpy as np
@@ -12,13 +13,14 @@ import etamix.process as process_module
 from etamix import (
     Checkpoint,
     HorizonTooSmall,
+    ProductMeasure,
     PureRow,
     RateFunction,
     ValidRow,
     build_process,
     check_checkpoints,
     delta_matrix,
-    mixing_matrix,
+    factored_mixing_matrix,
     rate_R,
     series_product,
     solve_row,
@@ -26,6 +28,7 @@ from etamix import (
 )
 from etamix.concentration import op_norm_inf
 
+from helpers import flip_pairs
 from oracles import FlipLawExact, mixing_matrix_slow
 
 
@@ -168,16 +171,31 @@ class TestBuildProcess:
         assert all(p.rate(cp.n) >= cp.n - cp.k for cp in p.checkpoints)
         assert p.k_max == 5
 
-    def test_components_live_at_natural_length(self):
+    def test_components_span_the_horizon(self):
+        # each copy lives on {0,1}^(n_max) with its one flip at n_k, so the
+        # components form a product
         p = build_process(RateFunction.sqrt(12), k_max=3, n_max=12)
-        assert tuple(c.n for c in p.components) == (2, 4, 6)
+        assert [(c.n, c.k, c.flips) for c in p.components] == [
+            (12, 1, ((2, 1.0),)), (12, 2, ((4, 1.0),)), (12, 3, ((6, 1.0),))]
+        assert ProductMeasure(p.components).n == 12
+
+    def test_components_hold_only_their_flips(self):
+        # one pair per copy: storing every position up to n_k would hold
+        # 9,045,057 numbers here
+        p = build_process(RateFunction.linear(90301), k_max=300, n_max=90301)
+        start = time.perf_counter()
+        comps = p.components
+        elapsed = time.perf_counter() - start
+        assert sum(len(c.flips) for c in comps) == 300
+        assert all(c.flips == ((cp.n, 1.0),) for cp, c in zip(p.checkpoints, comps))
+        assert elapsed < 0.1, f"components took {elapsed:.3f} s"
 
     def test_copy_components_are_the_row_solve(self):
         # h_k = 1: the copy's flip vector is the solve's output bit for bit
         p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
         for cp, comp in zip(p.checkpoints, p.components):
             solved, _ = solve_row(ValidRow(cp.n, cp.k, (1.0,) * (cp.n - cp.k)))
-            assert comp == solved
+            assert comp.flips == solved.flips
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9).flatmap(
@@ -186,7 +204,7 @@ class TestBuildProcess:
     @example((2, 1, 1e-12))
     def test_constant_row_matches_the_row_solve(self, case):
         n, k, h = case
-        direct = PureRow(n, k, (0.5,) * (n - k - 1) + ((1.0 + h) / 2.0,))
+        direct = PureRow(n, k, flip_pairs(k, (0.5,) * (n - k - 1) + ((1.0 + h) / 2.0,)))
         solved, _ = solve_row(ValidRow(n, k, (h,) * (n - k)))
         # the one flip lies past the breakpoint of the empty tail, where the
         # solve takes (1 + h) / 2 itself
@@ -232,7 +250,8 @@ class TestBuildProcess:
                           eps=(0.51, 0.29, 0.252, 0.202))
         reports = check_checkpoints(p)
         assert "components" not in vars(p)  # the audit read the horizons alone
-        assert [c.n for c in p.components] == [2, 7, 12, 20]
+        assert [(c.n, c.flips) for c in p.components] == [
+            (64, ((n_k, 1.0),)) for n_k in (2, 7, 12, 20)]
         assert all(r.passed for r in reports)
 
     def test_huge_sizes_fail_fast(self):
@@ -255,10 +274,9 @@ def process():
 
 class TestDeltaMatrix:
     def test_cells_at_horizon_four(self, process):
-        # Components 1 and 2 fit inside the horizon and contribute their
-        # rows.  Component 3 lives at natural length 6; its single coupling
-        # ties position 3 to position 6, so the length-4 marginal is
-        # uniform and row 3 stays empty here.
+        # Components 1 and 2 copy at horizons 2 and 4 and contribute their
+        # rows.  Component 3's one flip ties position 3 to position 6, so
+        # the length-4 marginal is uniform and row 3 stays empty here.
         expected = np.eye(4)
         expected[0, 1] = 1.0
         expected[1, 2] = expected[1, 3] = 1.0
@@ -284,11 +302,12 @@ class TestDeltaMatrix:
             delta_matrix(process, 13)
 
     def test_padding_matches_series_with_fair_bit(self, process):
-        comp = process.components[0].dense()  # natural length 2
-        padded = series_product(comp, uniform(2, 1))
-        expected = np.zeros((3, 3))
-        expected[:2, :2] = mixing_matrix(comp).entries
-        assert np.allclose(mixing_matrix(padded).entries, expected, atol=1e-12)
+        # past n_k a copy's positions are fair bits: the component is the
+        # copy on {0,1}^(n_k) followed by n_max - n_k independent ones
+        for cp, comp in zip(process.checkpoints, process.components):
+            copy = PureRow(cp.n, cp.k, ((cp.n, 1.0),)).dense()
+            padded = series_product(copy, uniform(2, process.n_max - cp.n))
+            assert np.abs(comp.dense().probs - padded.probs).max() <= 1e-12
 
 
 class TestCheckCheckpoints:
@@ -310,6 +329,21 @@ class TestCheckCheckpoints:
         reports = check_checkpoints(broken)
         assert not reports[1].passed and reports[1].ratio == 0.5
         assert reports[0].passed  # the untouched checkpoint still audits clean
+
+
+class TestProcessIsAProduct:
+    @pytest.mark.parametrize("rate", [RateFunction.linear, RateFunction.sqrt])
+    def test_fold_reads_the_audited_rate(self, rate):
+        # the mix engine's fold of every length-n_k prefix checks R(n_k)
+        # apart from check_checkpoints' argument over the horizons
+        p = build_process(rate(1024), k_max=30, n_max=1024)
+        for rep in check_checkpoints(p):
+            prefixes = tuple(PureRow(rep.n, c.k, tuple(f for f in c.flips if f[0] <= rep.n))
+                             for c in p.components if c.k < rep.n)
+            fm = factored_mixing_matrix(ProductMeasure(prefixes))
+            assert fm.is_exact()
+            big_r = 1.0 + float(fm.exact().entries.sum(axis=1).max())
+            assert rep.passed and rep.ratio == (big_r - 1.0) / p.rate(rep.n)
 
 
 @st.composite
@@ -335,7 +369,7 @@ def _corrupted(draw, p):
     flip = st.one_of(st.just(0.5), st.just(1.0), st.floats(0.0, 1.0))
     v = draw(st.lists(flip, min_size=c.n - c.k, max_size=c.n - c.k))
     comps = list(p.components)
-    comps[i] = PureRow(c.n, c.k, tuple(v))
+    comps[i] = PureRow(c.n, c.k, flip_pairs(c.k, v))
     return types.SimpleNamespace(n_max=p.n_max, components=tuple(comps))
 
 
@@ -361,8 +395,9 @@ class TestRateFromRows:
         for n in range(1, p.n_max + 1):
             delta = np.eye(n)
             for c in p.components:
-                m = min(n, c.n)  # the fair-bit padding adds nothing
-                delta[:m, :m] += _oracle_prefix(m, c.k, c.v[: max(m - c.k, 0)])
+                v = dict(c.flips)
+                dense_v = tuple(v.get(t, 0.5) for t in range(c.k + 1, n + 1))
+                delta += _oracle_prefix(n, c.k, dense_v)
             assert abs(rate_R(p, n) - op_norm_inf(delta)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)

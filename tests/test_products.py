@@ -22,7 +22,7 @@ from etamix import (
 )
 from etamix.fileio import write_product
 
-from helpers import copy_chain, random_full_support
+from helpers import copy_chain, flip_pairs, random_full_support
 
 
 class OnlyProtocol:
@@ -51,7 +51,7 @@ def _random_components(n: int, rng: np.random.Generator) -> tuple:
             k = int(rng.integers(1, n))
             v = rng.uniform(0.0, 1.0, n - k)
             v[rng.random(n - k) < 0.3] = 0.5
-            comps.append(PureRow(n, k, tuple(v.tolist())))
+            comps.append(PureRow(n, k, flip_pairs(k, v.tolist())))
         else:
             comps.append(random_full_support(2, n, rng))
     return tuple(comps)
@@ -208,7 +208,8 @@ class TestFactoredMixing:
 class TestComponentProtocol:
     def test_a_component_needs_only_the_protocol(self, tmp_path):
         rng = np.random.default_rng(21)
-        comps = (PureRow(3, 1, (0.8, 0.5)), random_full_support(2, 3, rng), PureRow(3, 2, (0.3,)))
+        comps = (PureRow(3, 1, ((2, 0.8),)), random_full_support(2, 3, rng),
+                 PureRow(3, 2, ((3, 0.3),)))
         plain = ProductMeasure(comps)
         ducks = ProductMeasure(tuple(map(OnlyProtocol, comps)))
         assert materialize(ducks).probs.tobytes() == materialize(plain).probs.tobytes()
@@ -246,7 +247,7 @@ class TestComponentProtocol:
         # constant rows, one flip each; a fold that pads every row into an
         # n x n matrix takes over 5 s at n = 1,000
         n, flips = 1500, np.random.default_rng(24).uniform(0.5, 1.0, 1500).tolist()
-        rows = [PureRow(n, k, (0.5,) * (n - k - 1) + (flips[k],)) for k in range(1, n)]
+        rows = [PureRow(n, k, ((n, flips[k]),)) for k in range(1, n)]
         pm = ProductMeasure(tuple(rows))
         start = time.perf_counter()
         fm = factored_mixing_matrix(pm)
