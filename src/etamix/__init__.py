@@ -20,13 +20,11 @@ _EXPORTS = {
                "validate_target"),
     "products": ("FactoredMixing", "ProductMeasure", "factored_mixing_matrix", "materialize",
                  "series_product"),
-    "construction": ("ConstructionTrace", "PureRow", "TraceStep", "ValidRow",
-                     "check_conditional_preservation", "construct_from_target",
-                     "pure_row_measure", "reweight", "solve_row"),
+    "construction": ("PureRow", "TraceStep", "ValidRow", "check_conditional_preservation",
+                     "construct_from_target", "pure_row_measure", "reweight", "solve_row"),
     "process": ("Checkpoint", "CheckpointReport", "RateFunction", "TruncatedProcess",
                 "build_process", "check_checkpoints", "delta_matrix", "rate_R"),
-    "concentration": ("bounds_report", "coupling_matrices", "op_norm_2", "op_norm_inf",
-                      "samson_bound"),
+    "concentration": ("bounds_report", "coupling_matrices", "op_norm_2"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -43,7 +43,7 @@ def _cmd_construct(args) -> int:
     fileio.write_product(args.output, pm)
     if args.trace:
         fileio.write_traces(args.trace, traces)
-    dev = max((abs(s.residual) for tr in traces for s in tr.steps), default=0.0)
+    dev = max((abs(s.residual) for steps in traces for s in steps), default=0.0)
     print(f"wrote {args.output}; max |achieved - target| = {dev:.3e}")
     return EXIT_OK
 

@@ -39,16 +39,6 @@ def coupling_matrices(h: MixingMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(eye + np.sqrt(h.entries)), _frozen(eye + h.entries)
 
 
-def op_norm_inf(m: np.ndarray) -> float:
-    """Max row sum of a nonnegative matrix; rejects negative entries."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if np.any(m < 0.0):
-        raise ValueError("negative entry")
-    return float(m.sum(axis=1).max())
-
-
 def op_norm_2(m: np.ndarray) -> float:
     """Spectral norm (largest singular value), computed by LAPACK's SVD."""
     m = np.asarray(m, dtype=np.float64)
@@ -64,24 +54,21 @@ def _deviation(s: float, t: float) -> float:
     return 2.0 * math.exp(-(t * t) / (2.0 * s * s))
 
 
-def samson_bound(gamma: np.ndarray, t: float) -> float:
-    """Deviation bound 2 * exp(-t^2 / (2 * ||Gamma||_2^2))."""
-    return _deviation(op_norm_2(gamma), t)
-
-
 def bounds_report(h: MixingMatrix, t: float) -> dict:
-    """All bounds for one deviation level t, plus the Delta norms used.
+    """All bounds for one deviation level t, plus the Delta norms used, in
+    the order ``bounds`` writes them.
 
-    ``norm_inf`` and ``norm_2`` describe Delta and enter the two Delta
-    bounds as taken; the Gamma bound takes Gamma's spectral norm.
+    ``norm_inf`` (Delta's max row sum) and ``norm_2`` describe Delta and
+    enter the two Delta bounds as taken; the Gamma bound takes Gamma's
+    spectral norm.
     """
     gamma, delta = coupling_matrices(h)
-    norm_inf, norm_2 = op_norm_inf(delta), op_norm_2(delta)
+    norm_inf, norm_2 = float(delta.sum(axis=1).max()), op_norm_2(delta)
     return {
         "t": float(t),
         "norm_inf": norm_inf,
         "norm_2": norm_2,
-        "samson": samson_bound(gamma, t),
+        "samson": _deviation(op_norm_2(gamma), t),
         "kontram_inf": _deviation(norm_inf, t),
         "kontram_2": _deviation(norm_2, t),
     }

@@ -63,19 +63,6 @@ SOLVE_TOL = 1e-12
 PRESERVATION_TOL = 1e-10
 
 
-def _unit_values(n: int, k: int, xs, what: str) -> tuple[float, ...]:
-    """xs as floats in [0, 1], one for each position k+1..n of {0,1}^n."""
-    xs = tuple(float(x) for x in xs)
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k} n={n}")
-    if len(xs) != n - k:
-        raise ValueError(f"k={k}, n={n} needs {n - k} entries, got {len(xs)}")
-    for x in xs:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"{what} {x!r} outside [0, 1]")
-    return xs
-
-
 @dataclass(frozen=True)
 class ValidRow:
     """Target row for a pure row-k construction on {0,1}^n.
@@ -89,9 +76,17 @@ class ValidRow:
     h: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", _unit_values(self.n, self.k, self.h, "row entry"))
-        if any(b > a for a, b in zip(self.h, self.h[1:])):
-            raise ValueError(f"row entries must be nonincreasing, got {self.h}")
+        n, k, h = self.n, self.k, tuple(float(x) for x in self.h)
+        object.__setattr__(self, "h", h)
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n, got k={k} n={n}")
+        if len(h) != n - k:
+            raise ValueError(f"k={k}, n={n} needs {n - k} entries, got {len(h)}")
+        for x in h:
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"row entry {x!r} outside [0, 1]")
+        if any(b > a for a, b in zip(h, h[1:])):
+            raise ValueError(f"row entries must be nonincreasing, got {h}")
 
     def target(self, t: int) -> float:
         """Target coefficient for the pair (k, t)."""
@@ -177,12 +172,6 @@ class TraceStep:
     v_star: float
     achieved: float
     residual: float
-
-
-@dataclass(frozen=True)
-class ConstructionTrace:
-    k: int
-    steps: tuple[TraceStep, ...]
 
 
 def reweight(mu: FiniteMeasure, k: int, t: int, v: float) -> FiniteMeasure:
@@ -288,13 +277,13 @@ def pure_row_measure(row: ValidRow, order: str = "backward", return_iterates: bo
     """Binary measure on {0,1}^n whose mixing matrix is ``row`` on row k and
     zero elsewhere.
 
-    Returns (measure, trace), or (measure, trace, iterates) with the full
+    Returns (measure, steps), or (measure, steps, iterates) with the full
     list of intermediate measures when ``return_iterates`` is set.  The
     iterates let callers verify that each step preserved the conditional
     laws of the not-yet-visited future blocks.  The v's come from
     :func:`solve_row`; each visit tilts where v_t != 1/2, as
     :meth:`PureRow.dense` does, so the measure is bit for bit the one it
-    builds, and the trace records eta_bar after each visit.  This is the
+    builds, and each step records eta_bar after its visit.  This is the
     dense sequential reference for :class:`PureRow`, not an engine path.
 
     ``order="forward"``, the only place ascending order lives, takes
@@ -321,10 +310,9 @@ def pure_row_measure(row: ValidRow, order: str = "backward", return_iterates: bo
         achieved = eta_bar(mu, k, t)
         steps.append(TraceStep(t, v, achieved, achieved - row.target(t)))
         iterates.append(mu)
-    trace = ConstructionTrace(k, tuple(steps))
     if return_iterates:
-        return mu, trace, iterates
-    return mu, trace
+        return mu, tuple(steps), iterates
+    return mu, tuple(steps)
 
 
 def check_conditional_preservation(
@@ -351,15 +339,17 @@ def check_conditional_preservation(
     return float(np.abs(laws_b[alive_b] - laws_a[alive_b]).max()) <= PRESERVATION_TOL
 
 
-def construct_from_target(h: MixingMatrix) -> tuple[ProductMeasure, list[ConstructionTrace]]:
+def construct_from_target(h: MixingMatrix) -> tuple[ProductMeasure, list[tuple[TraceStep, ...]]]:
     """Measure over the packed alphabet {0,1}^(n-1) realizing a valid target.
 
     Row k of the target is delegated to an independent pure row-k component
     on {0,1}^n, kept as its :class:`PureRow` flip vector; the parallel
     product of the components then reproduces the whole matrix because each
-    cell is nonzero in at most one component.  No dense measure is built
-    for n >= 2.  Raises :class:`TargetInvalid` when the target fails
-    validation and :class:`SolveError` when a solved cell misses its target.
+    cell is nonzero in at most one component.  Returns the product and the
+    :func:`solve_row` steps of rows 1, ..., n-1, in that order.  No dense
+    measure is built for n >= 2.  Raises :class:`TargetInvalid` when the
+    target fails validation and :class:`SolveError` when a solved cell
+    misses its target.
     """
     violations = validate_target(h)
     if violations:
@@ -367,10 +357,5 @@ def construct_from_target(h: MixingMatrix) -> tuple[ProductMeasure, list[Constru
     n = h.n
     if n == 1:
         return ProductMeasure((uniform(SeqSpace(2, 1)),)), []
-    components = []
-    traces = []
-    for k in range(1, n):
-        pr, steps = solve_row(ValidRow(n, k, tuple(h.entries[k - 1, k:n])))
-        components.append(pr)
-        traces.append(ConstructionTrace(k, steps))
-    return ProductMeasure(tuple(components)), traces
+    solved = [solve_row(ValidRow(n, k, tuple(h.entries[k - 1, k:n]))) for k in range(1, n)]
+    return ProductMeasure(tuple(pr for pr, _ in solved)), [steps for _, steps in solved]

@@ -29,7 +29,7 @@ from .errors import DEFAULT_STATE_CAP, FileFormatError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .construction import ConstructionTrace
+    from .construction import TraceStep
     from .measures import FiniteMeasure
     from .mixing import ConjectureRow, MixingMatrix
     from .process import CheckpointReport
@@ -330,16 +330,17 @@ def read_process_spec(path: str):
 # traces, bounds, CSV reports
 
 
-def write_traces(path: str, traces: list[ConstructionTrace]) -> None:
-    # a step's fields in order: t, v_star, achieved, residual
+def write_traces(path: str, traces: list[tuple[TraceStep, ...]]) -> None:
+    """The steps of rows 1, 2, ..., each step's fields in order: t, v_star,
+    achieved, residual."""
     _write_json(path, {"components": [
-        {"k": tr.k, "steps": [vars(s) for s in tr.steps]} for tr in traces
+        {"k": k, "steps": [vars(s) for s in steps]} for k, steps in enumerate(traces, 1)
     ]})
 
 
 def write_bounds(path: str, report: dict) -> None:
-    keys = ("t", "norm_inf", "norm_2", "samson", "kontram_inf", "kontram_2")
-    _write_json(path, {k: report[k] for k in keys})
+    """The report as given, in the order bounds_report builds its keys."""
+    _write_json(path, report)
 
 
 def write_checkpoints(path: str, reports: list[CheckpointReport]) -> None:

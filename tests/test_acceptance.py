@@ -255,9 +255,9 @@ def test_criterion_9_forward_order_failure_witness():
     err = float(np.abs(fwd_cells).max())
     bwd_err = float(np.abs(mixing_matrix(bwd).entries[0, 1:] - row.h).max())
     contrast = ValidRow(4, 1, (0.8, 0.5, 0.2))
-    fwd_c, fwd_trace = pure_row_measure(contrast, order="forward")
+    fwd_c, fwd_steps = pure_row_measure(contrast, order="forward")
     bwd_c = pure_row_measure(contrast)[0].probs
-    fwd_v = np.array([s.v_star for s in fwd_trace.steps])
+    fwd_v = np.array([s.v_star for s in fwd_steps])
     bwd_v = np.array([s.v_star for s in reversed(solve_row(contrast)[1])])
     agree = fwd_v.tobytes() == bwd_v.tobytes() and bool(
         np.all(np.abs(fwd_c.probs - bwd_c) <= 4 * np.spacing(bwd_c))

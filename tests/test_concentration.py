@@ -10,10 +10,9 @@ from etamix import (
     MixingMatrix,
     TargetInvalid,
     bounds_report,
+    construct_from_target,
     coupling_matrices,
     op_norm_2,
-    op_norm_inf,
-    samson_bound,
 )
 
 import oracles
@@ -43,22 +42,6 @@ class TestCouplingMatrices:
         for m in coupling_matrices(MixingMatrix.zeros(2)):
             with pytest.raises(ValueError):
                 m[0, 0] = 5.0
-
-
-class TestOpNormInf:
-    def test_hand_value(self):
-        assert op_norm_inf(np.array([[1.0, 1.0], [0.0, 1.0]])) == 2.0
-
-    def test_one_by_one(self):
-        assert op_norm_inf(np.array([[3.0]])) == 3.0
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            op_norm_inf(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            op_norm_inf(np.ones(3))
 
 
 class TestOpNorm2:
@@ -95,17 +78,15 @@ class TestOpNorm2:
     def test_hoelder_bounds(self, seed):
         m = np.random.default_rng(seed).uniform(0.0, 1.0, size=(3, 3))
         s = op_norm_2(m)
-        upper = math.sqrt(op_norm_inf(m) * op_norm_inf(m.T))
-        assert s <= upper + 1e-9
-        assert s >= op_norm_inf(m) / math.sqrt(3) - 1e-9
+        rows, cols = m.sum(axis=1).max(), m.sum(axis=0).max()  # ||M||_inf and ||M||_1
+        assert s <= math.sqrt(rows * cols) + 1e-9
+        assert s >= rows / math.sqrt(3) - 1e-9
 
 
 class TestBounds:
     def test_at_t_zero_both_equal_two(self):
-        eye = np.eye(3)
-        assert samson_bound(eye, 0.0) == 2.0
         rep = bounds_report(MixingMatrix.zeros(3), 0.0)
-        assert rep["kontram_inf"] == rep["kontram_2"] == 2.0
+        assert rep["samson"] == rep["kontram_inf"] == rep["kontram_2"] == 2.0
 
     def test_identity_delta_hand_value(self):
         assert bounds_report(MixingMatrix.zeros(2), 1.0)["kontram_inf"] == pytest.approx(
@@ -113,13 +94,13 @@ class TestBounds:
         )
 
     def test_decreasing_in_t(self):
-        gamma = np.array([[1.0, 0.5], [0.0, 1.0]])
-        vals = [samson_bound(gamma, t) for t in (0.0, 0.5, 1.0, 2.0)]
+        h = MixingMatrix([[0.0, 0.25], [0.0, 0.0]])  # Gamma = [[1, 0.5], [0, 1]]
+        vals = [bounds_report(h, t)["samson"] for t in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
-            samson_bound(np.eye(2), -1.0)
+            concentration._deviation(op_norm_2(np.eye(2)), -1.0)
         with pytest.raises(ValueError):
             bounds_report(MixingMatrix.zeros(2), -0.5)
 
@@ -150,6 +131,7 @@ class TestBoundsReport:
         assert rep["norm_2"] == pytest.approx(
             oracles.spectral_norm_2x2_charpoly([[1.0, 1.0], [0.0, 1.0]]), abs=1e-9
         )
+        assert bounds_report(MixingMatrix.zeros(1), 1.0)["norm_inf"] == 1.0  # Delta = [[1]]
 
     def test_each_norm_taken_once(self, monkeypatch):
         # one SVD of Delta, shared by norm_2 and kontram_2, and one of Gamma
@@ -160,8 +142,8 @@ class TestBoundsReport:
         rep = bounds_report(h, 1.5)
         assert len(calls) == 2
         gamma, delta = coupling_matrices(h)
-        assert rep["samson"] == samson_bound(gamma, 1.5)
-        assert rep["kontram_inf"] == concentration._deviation(op_norm_inf(delta), 1.5)
+        assert rep["samson"] == concentration._deviation(op_norm_2(gamma), 1.5)
+        assert rep["kontram_inf"] == concentration._deviation(delta.sum(axis=1).max(), 1.5)
         assert rep["kontram_2"] == concentration._deviation(op_norm_2(delta), 1.5)
 
 
@@ -194,3 +176,56 @@ class TestWhatTheBoundCovers:
         p = self._tail(rng, 100, 5.0)
         assert bound == pytest.approx(7.5e-6, rel=0.01)
         assert p - self._margin(p) > bound and p == pytest.approx(0.367, abs=0.01)
+
+
+def flip_product_draws(components, draws, rng):
+    """Seeded draws of a product of flip-vector components, one (draws, n)
+    bit array per component: X_1..X_k fair bits and each later X_t equal to
+    X_k flipped with probability 1 - v_t, where v_t = 1/2 if no pair is
+    stored.  Reads only ``n``, ``k`` and ``flips``."""
+    for c in components:
+        v = np.full(c.n - c.k, 0.5)
+        for t, vt in c.flips:
+            v[t - c.k - 1] = vt
+        bits = rng.integers(0, 2, size=(draws, c.n), dtype=np.uint8)
+        bits[:, c.k:] = bits[:, c.k - 1 : c.k] ^ (rng.random((draws, c.n - c.k)) >= v)
+        yield bits
+
+
+class TestOnConstructions:
+    """kontram_inf on construct_from_target outputs, whose coordinates
+    depend on each other.  f = (1/sqrt(n)) sum_t g_t, for g_t the parity of
+    the component bits at position t, changes by at most 1/sqrt(n) per
+    packed symbol: n c^2 = 1.  Every component bit is a fair bit and the
+    components are independent, so each g_t is fair and E f = sqrt(n) / 2."""
+
+    DRAWS = 20_000
+
+    @staticmethod
+    def _target(n, rng):
+        """Rows of at most 8 runs (so at most 8 stored flips), each row
+        scaled to a sum below 1/4."""
+        h = np.zeros((n, n))
+        for k in range(1, n):
+            m = n - k
+            cuts = np.sort(rng.choice(np.arange(1, m), size=min(8, m) - 1, replace=False))
+            runs = np.diff(np.concatenate(([0], cuts, [m])))
+            row = np.repeat(np.sort(rng.uniform(0.0, 1.0, size=runs.size))[::-1], runs)
+            h[k - 1, k:] = row * (rng.uniform(0.0, 0.25) / row.sum())
+        return MixingMatrix(h)
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_parity_sum_stays_under(self, n):
+        rng = np.random.default_rng(n)
+        h = self._target(n, rng)
+        pm, _ = construct_from_target(h)
+        assert max(len(c.flips) for c in pm.components) <= 8
+        g = np.zeros((self.DRAWS, n), dtype=np.uint8)
+        for bits in flip_product_draws(pm.components, self.DRAWS, rng):
+            g ^= bits
+        dev = np.abs(g.sum(axis=1) / math.sqrt(n) - math.sqrt(n) / 2)
+        for t in (1.5, 1.75, 2.0):
+            bound = bounds_report(h, t)["kontram_inf"]
+            assert bound < 1.0
+            p = float(np.mean(dev >= t))
+            assert p <= bound + 4.0 * math.sqrt(bound * (1.0 - bound) / self.DRAWS)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -208,14 +209,14 @@ class TestSolveV:
         rng = np.random.default_rng(2020)
         for _ in range(3):
             _, traces = construct_from_target(random_valid_target(20, rng))
-            assert max(abs(s.residual) for tr in traces for s in tr.steps) <= 1e-14
+            assert max(abs(s.residual) for steps in traces for s in steps) <= 1e-14
 
 
 class TestPureRowMeasure:
     def test_zero_row_returns_uniform(self):
-        mu, trace = pure_row_measure(ValidRow(3, 1, (0.0, 0.0)))
+        mu, steps = pure_row_measure(ValidRow(3, 1, (0.0, 0.0)))
         assert np.array_equal(mu.probs, np.full(8, 0.125))
-        assert all(s.v_star == 0.5 for s in trace.steps)
+        assert all(s.v_star == 0.5 for s in steps)
 
     def test_ones_row(self):
         mu, _ = pure_row_measure(ValidRow(3, 1, (1.0, 1.0)))
@@ -244,9 +245,9 @@ class TestPureRowMeasure:
             assert np.allclose(marginal(mu, pos, pos).probs, [0.5, 0.5], atol=1e-10)
 
     def test_trace_records_descending_positions(self):
-        _, trace = pure_row_measure(ValidRow(4, 1, (0.9, 0.5, 0.1)))
-        assert [s.t for s in trace.steps] == [4, 3, 2]
-        assert trace.k == 1
+        # from t = n down to k + 1, so row k = 1 ends at t = 2
+        _, steps = pure_row_measure(ValidRow(4, 1, (0.9, 0.5, 0.1)))
+        assert [s.t for s in steps] == [4, 3, 2]
 
     def test_deterministic(self):
         row = ValidRow(4, 2, (0.8, 0.2))
@@ -257,8 +258,8 @@ class TestPureRowMeasure:
 
     def test_each_step_preserves_later_blocks(self):
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
-        _, trace, its = pure_row_measure(row, return_iterates=True)
-        for idx, step in enumerate(trace.steps):
+        _, steps, its = pure_row_measure(row, return_iterates=True)
+        for idx, step in enumerate(steps):
             if step.t < 4:
                 assert check_conditional_preservation(
                     its[idx], its[idx + 1], 1, step.t + 1
@@ -280,9 +281,9 @@ class TestPureRowMeasure:
             return real(tail, target)
 
         monkeypatch.setattr(construction, "_flip_solve", counting)
-        mu, trace = pure_row_measure(ValidRow(5, 1, (0.6,) * 4))
+        mu, steps = pure_row_measure(ValidRow(5, 1, (0.6,) * 4))
         assert solved == [0.6]
-        assert [s.v_star for s in trace.steps[1:]] == [0.5] * 3
+        assert [s.v_star for s in steps[1:]] == [0.5] * 3
         assert np.allclose(mixing_matrix(mu).entries[0, 1:], 0.6, atol=1e-12)
 
     def test_unknown_order(self):
@@ -312,8 +313,8 @@ class TestVisitOrder:
         # flip vector bit for bit, and their dense replays, which tilt in
         # opposite orders, agree to rounding.
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
-        fwd, fwd_trace = pure_row_measure(row, order="forward")
-        fwd_v = np.array([s.v_star for s in fwd_trace.steps])
+        fwd, fwd_steps = pure_row_measure(row, order="forward")
+        fwd_v = np.array([s.v_star for s in fwd_steps])
         pr, steps = solve_row(row)
         assert fwd_v.tobytes() == np.array([s.v_star for s in reversed(steps)]).tobytes()
         assert pr.flips == ((2, 0.9), (3, 0.75), (4, 0.6))
@@ -349,10 +350,10 @@ class TestClosedFormCell:
     )
     def test_measure_is_the_replayed_reweight_chain(self, order, n, k, h):
         row = ValidRow(n, k, h)
-        mu, trace = pure_row_measure(row, order=order)
-        closed = solve_row(row)[1] if order == "backward" else trace.steps
+        mu, steps = pure_row_measure(row, order=order)
+        closed = solve_row(row)[1] if order == "backward" else steps
         replay = uniform(2, n)
-        for step, solved in zip(trace.steps, closed):
+        for step, solved in zip(steps, closed):
             t = step.t
             if order == "backward" and t < n and row.target(t) == row.target(t + 1):
                 assert step.v_star == 0.5
@@ -384,11 +385,11 @@ class TestClosedFormCell:
     )
     def test_pure_row_dense_is_the_measure(self, n, k, h):
         row = ValidRow(n, k, h)
-        mu, trace = pure_row_measure(row)
+        mu, dense_steps = pure_row_measure(row)
         pr, steps = solve_row(row)
         assert pr.dense().probs.tobytes() == mu.probs.tobytes()
-        assert [s.v_star for s in steps] == [s.v_star for s in trace.steps]
-        assert pr.flips == flip_pairs(k, [s.v_star for s in reversed(trace.steps)])
+        assert [s.v_star for s in steps] == [s.v_star for s in dense_steps]
+        assert pr.flips == flip_pairs(k, [s.v_star for s in reversed(dense_steps)])
 
 
 @st.composite
@@ -411,7 +412,7 @@ class TestOneReplay:
     @given(_valid_rows())
     @example(ValidRow(8, 6, (0.3994252615788065, 0.3994252615788064)))
     def test_dense_is_the_reference_bit_for_bit(self, row):
-        mu, trace = pure_row_measure(row)
+        mu, _ = pure_row_measure(row)
         assert solve_row(row)[0].dense().probs.tobytes() == mu.probs.tobytes()
 
 
@@ -430,8 +431,24 @@ class TestExactCertificate:
     @example(ValidRow(4, 1, (1.0 - 1e-15, 1.0 - 1e-15, 5e-324)))
     @example(ValidRow(14, 1, (0.9,) * 12 + (np.nextafter(0.9, 0.0),)))
     def test_solved_cells_are_exact(self, row):
-        pr, steps = solve_row(row)
+        self._assert_exact(row, *solve_row(row))
+
+    def test_every_row_of_an_n20_target(self):
+        # drawn as CI's construct steps at n = 16 and 18 draw theirs
+        n, rng = 20, random.Random(20)
+        h = [[0.0] * (i + 1) + sorted((rng.random() for _ in range(n - 1 - i)), reverse=True)
+             for i in range(n)]
+        pm, traces = construct_from_target(MixingMatrix(h))
+        assert [pr.k for pr in pm.components] == list(range(1, n))
+        for pr, steps in zip(pm.components, traces, strict=True):
+            self._assert_exact(ValidRow(n, pr.k, h[pr.k - 1][pr.k:]), pr, steps)
+
+    @staticmethod
+    def _assert_exact(row, pr, steps):
+        """Every position visited, each cell within SOLVE_TOL of its target
+        and ACHIEVED_TOL of the step's ``achieved``."""
         exact = flip_cells_exact(row.n, row.k, pr.flips)
+        assert [s.t for s in steps] == list(range(row.n, row.k, -1))
         for s in steps:
             cell = exact[s.t - row.k - 1]
             assert abs(cell - Fraction(row.target(s.t))) <= Fraction(construction.SOLVE_TOL)
@@ -574,10 +591,11 @@ class TestConstructFromTarget:
         achieved = factored_mixing_matrix(pm).exact().entries
         assert all(isinstance(c, PureRow) for c in pm.components)
         assert np.abs(achieved - entries).max() <= 1e-12
-        assert max(abs(s.residual) for tr in traces for s in tr.steps) <= 1e-12
+        assert max(abs(s.residual) for steps in traces for s in steps) <= 1e-12
 
     def test_one_component_per_row(self):
         h = MixingMatrix([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         pm, traces = construct_from_target(h)
         assert len(pm.components) == 2
-        assert [t.k for t in traces] == [1, 2]
+        # row k's steps visit t = n down to k + 1
+        assert [[s.t for s in steps] for steps in traces] == [[3, 2], [3]]

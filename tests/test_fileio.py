@@ -25,7 +25,7 @@ from etamix import (
 )
 from etamix import fileio
 from etamix.cli import main
-from etamix.construction import SOLVE_TOL, ConstructionTrace, TraceStep
+from etamix.construction import SOLVE_TOL, TraceStep
 from etamix.fileio import (
     FORMAT_VERSION,
     FileFormatError,
@@ -468,9 +468,8 @@ LAYOUTS = [
 }
 """),
     ("traces", lambda p: write_traces(p, [
-        ConstructionTrace(1, (TraceStep(2, 0.75, 0.5, -0.0),
-                              TraceStep(3, 1 / 3, 0.25, 5e-17))),
-        ConstructionTrace(2, (TraceStep(3, 1.0, 0.0, 0.0),)),
+        (TraceStep(2, 0.75, 0.5, -0.0), TraceStep(3, 1 / 3, 0.25, 5e-17)),
+        (TraceStep(3, 1.0, 0.0, 0.0),),
     ]),
      """{
   "version": "<version>",
