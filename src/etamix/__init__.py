@@ -16,7 +16,7 @@ _EXPORTS = {
     "measures": ("FiniteMeasure", "SeqSpace", "ZeroProbabilityPrefix", "conditional",
                  "from_weights", "marginal", "random_measure", "tv_distance", "uniform"),
     "mixing": ("ConjectureRow", "MixingMatrix", "Violation", "check_samson_inequality",
-               "conjecture_scan", "eta", "eta_bar", "mixing_matrix", "phi", "phi_vector",
+               "conjecture_scan", "eta", "eta_bar", "mixing_matrix", "phi_vector",
                "validate_target"),
     "products": ("FactoredMixing", "ProductMeasure", "factored_mixing_matrix", "materialize",
                  "series_product"),

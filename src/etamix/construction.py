@@ -326,12 +326,12 @@ def check_conditional_preservation(
     """
     if before.space != after.space:
         raise ValueError("measures live on different spaces")
-    q, n = before.q, before.n
+    n = before.n
     if not 1 <= k < t <= n:
         raise ValueError(f"need 1 <= k < t <= n, got k={k} t={t} n={n}")
 
-    laws_b, alive_b, _ = next(_block_laws(before.probs, q, n, k, t))
-    laws_a, alive_a, _ = next(_block_laws(after.probs, q, n, k, t))
+    laws_b, alive_b, _ = next(_block_laws(before, k, t))
+    laws_a, alive_a, _ = next(_block_laws(after, k, t))
     if not np.array_equal(alive_b, alive_a):
         return False
     if not alive_b.any():

@@ -36,6 +36,8 @@ class SeqSpace:
     def __post_init__(self) -> None:
         if self.q < 2 or self.n < 1:
             raise ValueError(f"need q >= 2 and n >= 1, got q={self.q} n={self.n}")
+        if self.state_cap < 1:
+            raise ValueError(f"the state cap must be >= 1, got {self.state_cap}")
         # 2**n > cap from n = cap.bit_length() on; checked first so that a
         # huge n never reaches the power
         if self.n >= self.state_cap.bit_length() or self.q ** self.n > self.state_cap:

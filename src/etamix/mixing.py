@@ -18,11 +18,11 @@ pasts), the inequality eta_bar_{ij} <= 2 * phi_{j-i}, and an informational
 scan comparing 0.5 * sum_g phi_g against 1 + max_i sum_{j>i} eta_bar_{ij}.
 
 eta_bar, phi and the construction's preservation check all read the same
-conditional block laws, produced by one kernel, `_block_laws`.  For a past
+conditional block laws, produced by one kernel, `_block_laws`: for a past
 length i it conditions on every length-i prefix once and then walks the
-block start j = i+1, ..., n, summing out one position per step.  One cell
-costs O(q^n); a whole matrix row, or every gap at one i, costs O(q^n) as
-well, so the full matrix and the full phi vector cost O(n q^n) each.
+block start j = i+1, ..., n, summing out one position per step, in O(q^n)
+for the whole walk.  `_sweep`, the one pair loop, runs it once per i for all
+the tables its caller asks for: the matrix, the phi vector, or both at once.
 """
 from __future__ import annotations
 
@@ -106,60 +106,72 @@ def eta_bar(mu: FiniteMeasure, i: int, j: int) -> float:
     value is 0.  Vectorized over all length-(i-1) stems at once.
     """
     _check_pair(mu.n, i, j)
-    laws, alive, _ = next(_block_laws(mu.probs, mu.q, mu.n, i, j))
-    return _sibling_max(laws, alive, mu.q)
+    return _sibling_max(*next(_block_laws(mu, i, j)))
 
 
-def _block_laws(probs: np.ndarray, q: int, n: int, i: int, j: int):
+def _block_laws(mu: FiniteMeasure, i: int, j: int):
     """Laws of (X_s, ..., X_n) given each length-i prefix, for s = j, ..., n.
 
     Yields ``(laws, alive, block)`` once per s: ``block`` is the unnormalized
     joint of prefix and block, shape (q^i, q^(n-s+1)); ``laws`` divides each
-    row by its prefix mass (rows of dead prefixes are zero); ``alive`` marks
-    the prefixes with positive mass.  The prefix masses are summed once, and
-    each step sums out one position of the previous block, so a sweep over
-    every s touches O(q^n) numbers in total.
+    row by its prefix mass (dead prefixes' rows are zero), and ``alive``
+    marks the prefixes with positive mass, both grouped by sibling: (q^(i-1),
+    q, ...).  The prefix masses are summed once, and each step sums out one
+    position of the previous block, so a whole sweep touches O(q^n) numbers.
     """
-    heads = q ** i
-    mass = probs.reshape(heads, -1).sum(axis=1)
+    q, heads = mu.q, mu.q ** i
+    mass = mu.probs.reshape(heads // q, q, -1).sum(axis=2)
     alive = mass > 0.0
     # a dead prefix has an all-zero block row, which dividing by 1 keeps zero
-    denom = np.where(alive, mass, 1.0)[:, None]
-    block = probs.reshape(heads, q ** (j - 1 - i), -1).sum(axis=1)
-    for s in range(j, n + 1):
+    denom = np.where(alive, mass, 1.0)[:, :, None]
+    block = mu.probs.reshape(heads, q ** (j - 1 - i), -1).sum(axis=1)
+    for s in range(j, mu.n + 1):
         if s > j:
             block = block.reshape(heads, q, -1).sum(axis=1)
-        yield block / denom, alive, block
+        yield block.reshape(heads // q, q, -1) / denom, alive, block
 
 
-def _sibling_max(laws: np.ndarray, alive: np.ndarray, q: int) -> float:
+def _sibling_max(laws: np.ndarray, alive: np.ndarray, _block: np.ndarray) -> float:
     """Largest TV distance between the laws of two live sibling prefixes,
     i.e. prefixes that differ only in their last symbol."""
-    cond = laws.reshape(-1, q, laws.shape[1])
-    alive = alive.reshape(-1, q)
     best = 0.0
-    for a in range(q):
-        for b in range(a + 1, q):
+    for a in range(laws.shape[1]):
+        for b in range(a + 1, laws.shape[1]):
             both = alive[:, a] & alive[:, b]
             if not both.any():
                 continue
-            d = 0.5 * np.abs(cond[:, a] - cond[:, b]).sum(axis=1)
+            d = 0.5 * np.abs(laws[:, a] - laws[:, b]).sum(axis=1)
             best = max(best, float(d[both].max()))
     return best
 
 
-def mixing_matrix(mu: FiniteMeasure) -> MixingMatrix:
-    """Full matrix of eta_bar coefficients for all position pairs i < j.
+def _phi_cell(laws: np.ndarray, alive: np.ndarray, block: np.ndarray) -> float:
+    """Largest TV distance between a live prefix's block law and the
+    unconditional one, the column sum of the joint."""
+    d = 0.5 * np.abs(laws - block.sum(axis=0)).sum(axis=2)
+    return float(d[alive].max())
 
-    Row i comes from one sweep of the block start j = i+1, ..., n.
-    """
+
+def _sweep(mu: FiniteMeasure, *cells) -> list[np.ndarray]:
+    """One n-by-n table per cell function, ``cell(laws, alive, block)`` at
+    entry (i-1, j-1) for every pair i < j, from one sweep per past length i."""
     n = mu.n
-    ent = np.zeros((n, n))
+    tables = [np.zeros((n, n)) for _ in cells]
     for i in range(1, n):
-        sweep = _block_laws(mu.probs, mu.q, n, i, i + 1)
-        for j, (laws, alive, _) in enumerate(sweep, start=i + 1):
-            ent[i - 1, j - 1] = _sibling_max(laws, alive, mu.q)
-    return MixingMatrix(ent)
+        for j, step in enumerate(_block_laws(mu, i, i + 1), start=i + 1):
+            for table, cell in zip(tables, cells):
+                table[i - 1, j - 1] = cell(*step)
+    return tables
+
+
+def _gap_max(table: np.ndarray) -> np.ndarray:
+    """Largest cell on each superdiagonal g = 1..n-1, read-only."""
+    return _frozen([table.diagonal(g).max() for g in range(1, len(table))])
+
+
+def mixing_matrix(mu: FiniteMeasure) -> MixingMatrix:
+    """Full matrix of eta_bar coefficients for all position pairs i < j."""
+    return MixingMatrix(_sweep(mu, _sibling_max)[0])
 
 
 def validate_target(h: MixingMatrix, tol: float = 0.0) -> list[Violation]:
@@ -195,39 +207,24 @@ def validate_target(h: MixingMatrix, tol: float = 0.0) -> list[Violation]:
     return out
 
 
-def phi(mu: FiniteMeasure, g: int) -> float:
-    """Uniform-mixing coefficient at gap g >= 1.
+def phi_vector(mu: FiniteMeasure) -> np.ndarray:
+    """Uniform-mixing coefficient phi_g at every gap g = 1..n-1, a read-only
+    array nonincreasing in g, from one sweep per past length i.
 
-    Worst case, over positions i with i + g <= n and single positive-mass
-    pasts y of length i, of the TV distance between the law of
+    phi_g is the worst case, over positions i with i + g <= n and single
+    positive-mass pasts y of length i, of the TV distance between the law of
     (X_{i+g}, ..., X_n) given X_1..X_i = y and its unconditional law.  The
     worst case over past *events* equals the worst case over atoms, since a
     conditional law given a union is a convex mixture of the atom laws.
     """
-    if not 1 <= g <= mu.n - 1:
-        raise ValueError(f"gap {g} outside 1..{mu.n - 1}")
-    return float(phi_vector(mu)[g - 1])
-
-
-def phi_vector(mu: FiniteMeasure) -> np.ndarray:
-    """:func:`phi` at every gap g = 1..n-1, a read-only array nonincreasing
-    in g, from one sweep per past length i."""
-    n = mu.n
-    values = np.zeros(n - 1)
-    for i in range(1, n):
-        sweep = _block_laws(mu.probs, mu.q, n, i, i + 1)
-        for g, (laws, alive, block) in enumerate(sweep, start=1):
-            # the unconditional block law is the column sum of the joint
-            d = 0.5 * np.abs(laws - block.sum(axis=0)).sum(axis=1)
-            values[g - 1] = max(values[g - 1], float(d[alive].max()))
-    return _frozen(values)
+    return _gap_max(_sweep(mu, _phi_cell)[0])
 
 
 def check_samson_inequality(mu: FiniteMeasure, slack: float = 1e-9) -> bool:
     """True when eta_bar(i, j) <= 2 * phi_{j-i} + slack for every pair."""
+    e, phi = _sweep(mu, _sibling_max, _phi_cell)
     i, j = np.triu_indices(mu.n, 1)
-    bound = 2.0 * phi_vector(mu)[j - i - 1] + slack
-    return not np.any(mixing_matrix(mu).entries[i, j] > bound)
+    return not np.any(e[i, j] > 2.0 * _gap_max(phi)[j - i - 1] + slack)
 
 
 @dataclass(frozen=True)
@@ -251,8 +248,8 @@ def conjecture_scan(mus) -> list[ConjectureRow]:
     rows = []
     for mid, mu in enumerate(mus):
         n = mu.n
-        lhs = 0.5 * float(phi_vector(mu).sum())
-        e = mixing_matrix(mu).entries
+        e, phi = _sweep(mu, _sibling_max, _phi_cell)
+        lhs = 0.5 * float(_gap_max(phi).sum())
         rhs = 1.0 + max((float(e[i, i + 1 : n].sum()) for i in range(n - 1)), default=0.0)
         rows.append(ConjectureRow(mid, n, mu.q, lhs, rhs, lhs <= rhs))
     return rows

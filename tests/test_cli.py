@@ -98,8 +98,9 @@ class TestMix:
         write_matrix(want, mixing_matrix(read_product(m).components[0]))
         assert Path(out).read_bytes() == Path(want).read_bytes()
 
-    def test_construct_output_reads_back(self, tmp_path):
-        h = random_valid_target(14, np.random.default_rng(14))
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_construct_output_reads_back(self, tmp_path, n):
+        h = random_valid_target(n, np.random.default_rng(n))
         target, pm, out = (str(tmp_path / f) for f in ("h.json", "pm.json", "back.json"))
         write_matrix(target, h)
         assert main(["construct", target, "-o", pm]) == 0
@@ -502,11 +503,11 @@ class TestScan:
     def test_one_measure_at_a_time(self, tmp_path, monkeypatch):
         # the k-th row is computed after exactly k draws, so no draw waits in a list
         draws, seen = [], []
-        real_draw, real_phi = etamix.measures.random_measure, etamix.mixing.phi_vector
+        real_draw, real_sweep = etamix.measures.random_measure, etamix.mixing._sweep
         monkeypatch.setattr(etamix.measures, "random_measure",
                             lambda *a, **kw: draws.append(1) or real_draw(*a, **kw))
-        monkeypatch.setattr(etamix.mixing, "phi_vector",
-                            lambda mu: seen.append(len(draws)) or real_phi(mu))
+        monkeypatch.setattr(etamix.mixing, "_sweep",
+                            lambda mu, *cells: seen.append(len(draws)) or real_sweep(mu, *cells))
         out = str(tmp_path / "s.csv")
         assert main(["scan", "--count", "4", "--n", "3", "-o", out]) == 0
         assert seen == [1, 2, 3, 4]

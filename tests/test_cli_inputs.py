@@ -137,3 +137,16 @@ class TestDeepNesting:
         text = json.dumps(dict(doc, **{key: None})).replace(f'"{key}": null', f'"{key}": {deep}')
         assert deep in text
         assert _run(command, text) == 2
+
+
+class TestNonpositiveStateCap:
+    # a cap below 1 used to exit 3, the code for a space past the cap
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["mix", "product", "scan"])
+    def test_exit_code(self, tmp_path, capsys, command, cap):
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(MEASURE))
+        argv = ["scan", "--n", "2"] if command == "scan" else [command, str(src)]
+        assert main(argv + ["-o", str(tmp_path / "out"), "--state-cap", cap]) == 2
+        assert capsys.readouterr().err == f"error: the state cap must be >= 1, got {cap}\n"
+        assert not (tmp_path / "out").exists()

@@ -53,6 +53,13 @@ class TestSeqSpace:
         with pytest.raises(StateCapExceeded):
             SeqSpace(4, 3, state_cap=10)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_state_cap_below_one_refused(self, cap):
+        # a bad cap is a bad value (exit 2), not a space past the cap (exit 3)
+        with pytest.raises(ValueError, match="state cap must be >= 1") as exc:
+            SeqSpace(2, 2, state_cap=cap)
+        assert type(exc.value) is ValueError
+
     def test_huge_length_refused_without_the_power(self):
         # q**n with n = 10**18 would never finish; the cap check runs first
         with pytest.raises(StateCapExceeded):

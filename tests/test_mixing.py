@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etamix.mixing
 from etamix import (
     MixingMatrix,
     SeqSpace,
@@ -15,7 +16,6 @@ from etamix import (
     eta_bar,
     from_weights,
     mixing_matrix,
-    phi,
     phi_vector,
     random_measure,
     series_product,
@@ -229,30 +229,22 @@ class TestPhi:
     def test_copy_chain_gap_one(self):
         # Conditioning on the first symbol pins the second, and the
         # unconditional law of the second is fair: TV distance 1/2.
-        assert phi(copy_chain(2), 1) == 0.5
+        assert phi_vector(copy_chain(2))[0] == 0.5
 
     def test_product_measure_is_zero(self):
-        assert phi(uniform(2, 3), 1) == 0.0
-        assert phi(uniform(2, 3), 2) == 0.0
+        assert phi_vector(uniform(2, 3)).tolist() == [0.0, 0.0]
 
     def test_iid_then_copy_hand_values(self):
         mu = iid_then_copy()
-        assert phi(mu, 1) == pytest.approx(0.5)
-        assert phi(mu, 2) == pytest.approx(0.0)
+        assert phi_vector(mu)[0] == pytest.approx(0.5)
+        assert phi_vector(mu)[1] == pytest.approx(0.0)
 
     def test_matches_slow_oracle(self):
         rng = np.random.default_rng(17)
         for mu in (random_full_support(2, 4, rng), *oracle_inputs()):
             for g in range(1, mu.n):
                 want = oracles.phi_slow(mu, g)
-                assert phi(mu, g) == pytest.approx(want, abs=1e-12), (mu.q, mu.n, g)
-
-    def test_gap_bounds_checked(self):
-        mu = uniform(2, 3)
-        with pytest.raises(ValueError):
-            phi(mu, 0)
-        with pytest.raises(ValueError):
-            phi(mu, 3)
+                assert phi_vector(mu)[g - 1] == pytest.approx(want, abs=1e-12), (mu.q, mu.n, g)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -301,6 +293,25 @@ class TestConjectureScan:
     def test_ids_enumerate_input(self):
         rows = conjecture_scan([uniform(2, 2), copy_chain(2)])
         assert [r.measure_id for r in rows] == [0, 1]
+
+
+class TestOneSweep:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        # counts the _block_laws sweeps each call makes
+        calls, real = [], etamix.mixing._block_laws
+        monkeypatch.setattr(etamix.mixing, "_block_laws",
+                            lambda *a: calls.append(a[-2:]) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_sweep_per_past_length(self, sweeps, n):
+        mu = random_full_support(2, n, np.random.default_rng(n))
+        for run in (mixing_matrix, phi_vector, check_samson_inequality,
+                    lambda m: conjecture_scan([m])):
+            sweeps.clear()
+            run(mu)
+            assert sweeps == [(i, i + 1) for i in range(1, n)], run
 
 
 class TestSeriesInteraction:

@@ -18,7 +18,7 @@ SUBMODULES = ("cli", "concentration", "construction", "errors", "fileio", "measu
 
 
 def test_all_is_the_library_names():
-    assert len(etamix.__all__) == len(set(etamix.__all__)) == 49
+    assert len(etamix.__all__) == len(set(etamix.__all__)) == 48
     assert not set(etamix.__all__) & set(SUBMODULES)
     assert all(not name.startswith("_") for name in etamix.__all__)
 
@@ -99,9 +99,10 @@ def test_rate_error_loads_no_engine(tmp_path):
 
 
 def test_only_rate_loads_the_rate_engine(tmp_path):
-    target, out = tmp_path / "h.json", tmp_path / "bounds.json"
+    target, out, pm = tmp_path / "h.json", tmp_path / "bounds.json", tmp_path / "pm.json"
     target.write_text('{"n": 2, "entries": [[0, 0.5], [0, 0]]}')
     bounds = f"assert main(['bounds', {str(target)!r}, '--t', '1', '-o', {str(out)!r}]) == 0"
+    construct = f"assert main(['construct', {str(target)!r}, '-o', {str(pm)!r}]) == 0"
     version = "try:\n    main(['--version'])\nexcept SystemExit as exc:\n    assert exc.code == 0"
-    for run in (bounds, version):
+    for run in (bounds, construct, version):
         assert _loaded(f"from etamix.cli import main\n{run}", ("etamix.process",))[0] == "", run
