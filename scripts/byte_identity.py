@@ -17,8 +17,9 @@ The corpus: ``construct --trace``, ``bounds`` and ``validate`` on ten
 n = 14 targets drawn like the benchmark's and on targets at n = 1, 2, 5
 and 18; the three commands on an n = 4 target with every violation kind;
 ``product`` on the n = 5 output and on two q = 2, n = 3 measures, and
-``mix`` on each joint, on the n = 5 and first n = 14 product files and on
-a product file whose one component has q = 1; ``scan``; ``rate`` on
+``mix`` on each joint, on the n = 5 and first n = 14 product files, on a
+product file whose one component has q = 1 and on a product file holding
+the two n = 3 measures, plain and with ``--state-cap 32``; ``scan``; ``rate`` on
 linear, sqrt, const, table and malformed specs; and ``--version``.
 
 Prints one line per differing stdout, stderr, exit code or output file and
@@ -73,9 +74,16 @@ def write_inputs(d: str) -> list[list[str]]:
             ["validate", f"{name}.json"],
         ]
 
+    m3 = []
     for name in ("m3a", "m3b"):
         w = [rng.random() + 1e-12 for _ in range(8)]
-        _dump(os.path.join(d, f"{name}.json"), {"q": 2, "n": 3, "probs": [x / sum(w) for x in w]})
+        m3.append({"q": 2, "n": 3, "probs": [x / sum(w) for x in w]})
+        _dump(os.path.join(d, f"{name}.json"), m3[-1])
+    # both measures' rows are shared: mix sweeps their 64-atom joint, or
+    # exits 3 under a smaller cap
+    _dump(os.path.join(d, "m3ab-product.json"), {"components": m3})
+    commands += [["mix", "m3ab-product.json", "-o", "m3ab-matrix.json"],
+                 ["mix", "m3ab-product.json", "-o", "m3ab-capped.json", "--state-cap", "32"]]
     for joint, parts in (("joint5", ["t5-product.json"]), ("joint3", ["m3a.json", "m3b.json"])):
         commands += [["product", *parts, "-o", f"{joint}.json"],
                      ["mix", f"{joint}.json", "-o", f"{joint}-matrix.json"]]

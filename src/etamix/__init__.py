@@ -18,8 +18,7 @@ _EXPORTS = {
     "mixing": ("ConjectureRow", "MixingMatrix", "Violation", "check_samson_inequality",
                "conjecture_scan", "eta", "eta_bar", "mixing_matrix", "phi_vector",
                "validate_target"),
-    "products": ("FactoredMixing", "ProductMeasure", "factored_mixing_matrix", "materialize",
-                 "series_product"),
+    "products": ("ProductMeasure", "factored_mixing_matrix", "materialize", "series_product"),
     "construction": ("PureRow", "TraceStep", "ValidRow", "check_conditional_preservation",
                      "construct_from_target", "pure_row_measure", "reweight", "solve_row"),
     "process": ("Checkpoint", "CheckpointReport", "RateFunction", "TruncatedProcess",

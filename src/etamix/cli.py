@@ -27,7 +27,7 @@ def _cmd_mix(args) -> int:
     from .products import factored_mixing_matrix
 
     pm = fileio.read_product(args.measure, args.state_cap)
-    fileio.write_matrix(args.output, factored_mixing_matrix(pm).exact())
+    fileio.write_matrix(args.output, factored_mixing_matrix(pm, args.state_cap))
     print(f"wrote {args.output} (n={pm.n})")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ Also here: the uniform-mixing coefficient phi (conditional law of a future
 block against the unconditional law, worst case over single positive-mass
 pasts), the inequality eta_bar_{ij} <= 2 * phi_{j-i}, and an informational
 scan comparing 0.5 * sum_g phi_g against 1 + max_i sum_{j>i} eta_bar_{ij}.
+That inequality is false; :func:`conjecture_scan` names a witness.
 
 eta_bar, phi and the construction's preservation check all read the same
 conditional block laws, produced by one kernel, `_block_laws`: for a past
@@ -240,10 +241,12 @@ class ConjectureRow:
 
 
 def conjecture_scan(mus) -> list[ConjectureRow]:
-    """Evaluate the open inequality lhs <= rhs on a batch of measures.
+    """Evaluate lhs <= rhs on a batch of measures.
 
-    Purely informational: rows report both sides and the comparison, and a
-    violation is interesting rather than an error.
+    The inequality is false.  A witness on {0,1}^11: X_1..X_10 are fair bits
+    with sum S, and X_11 = 1 with probability 1 for S <= 1, 1/3 for S in 2..4
+    and 0 for S >= 5, giving lhs 2.1230 > rhs 2.0208.  Purely informational:
+    rows report both sides and the comparison, and a violation is not an error.
     """
     rows = []
     for mid, mu in enumerate(mus):

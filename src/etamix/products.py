@@ -11,8 +11,9 @@ For a parallel product the mixing matrix obeys the sandwich
     max_c eta_bar_c(i, j)  <=  eta_bar(i, j)  <=  min(1, sum_c eta_bar_c(i, j))
 
 per cell.  When at most one component is nonzero at each cell ("disjoint
-rows", as with pure-row components) the two sides collapse and the factored
-matrix is exact without materializing the joint.
+rows", as with pure-row components) the two sides collapse and
+:func:`factored_mixing_matrix` returns the max without building the joint;
+elsewhere it sweeps the joint, under the state cap.
 
 A component is anything with ``n``, ``q``, ``dense()`` and ``rows()``:
 a FiniteMeasure, or a :class:`~etamix.construction.PureRow` flip vector.
@@ -27,12 +28,13 @@ from math import prod
 
 import numpy as np
 
-from .errors import DEFAULT_STATE_CAP
-from .measures import FiniteMeasure, SeqSpace, _frozen
-from .mixing import MixingMatrix
+from .errors import DEFAULT_STATE_CAP, StateCapExceeded
+from .measures import FiniteMeasure, SeqSpace
+from .mixing import MixingMatrix, mixing_matrix
 
-#: Widest factored interval :class:`FactoredMixing` still collapses to one matrix.
-EXACT_TOL = 1e-9
+#: Widest gap between a cell's min(1, sum) and max that still takes the max,
+#: which the true cell lies between.
+EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,45 +87,25 @@ def materialize(pm: ProductMeasure, state_cap: int = DEFAULT_STATE_CAP) -> Finit
     return FiniteMeasure(space, acc.ravel())
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredMixing:
-    """Per-cell interval for the mixing matrix of a parallel product.
+def factored_mixing_matrix(pm: ProductMeasure, state_cap: int = DEFAULT_STATE_CAP) -> MixingMatrix:
+    """Exact mixing matrix of a parallel product, read from its components.
 
-    ``lower`` is the max over component cells, ``upper`` is min(1, sum).
-    When the components have disjoint nonzero rows the interval width is
-    (numerically) zero and either bound serves as the exact matrix.
+    Each component row's cells are folded once into a running max and sum.
+    Where min(1, sum) and the max agree within EXACT_TOL at every cell, the
+    max is the matrix and no joint is built.  Otherwise the matrix is swept
+    from :func:`materialize`'s joint, which raises StateCapExceeded, naming
+    the first row the components share, past ``state_cap`` atoms.
     """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("lower", "upper"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-    @property
-    def width(self) -> float:
-        return float(np.max(self.upper - self.lower)) if self.lower.size else 0.0
-
-    def is_exact(self) -> bool:
-        return self.width <= EXACT_TOL
-
-    def exact(self) -> MixingMatrix:
-        """The collapsed matrix; raises when the interval is wider than EXACT_TOL."""
-        if not self.is_exact():
-            raise ValueError(
-                f"factored mixing interval has width {self.width:.3e} > {EXACT_TOL:.3e}; "
-                "component rows are not disjoint"
-            )
-        return MixingMatrix(self.lower)
-
-
-def factored_mixing_matrix(pm: ProductMeasure) -> FactoredMixing:
-    """Mixing-matrix bounds of a parallel product from its components alone:
-    each component row's cells are folded once into a running max and sum."""
     lower, upper = np.zeros((pm.n, pm.n)), np.zeros((pm.n, pm.n))
     for c in pm.components:
         for i, cells in c.rows():
             lower[i - 1, i:] = np.maximum(lower[i - 1, i:], cells)
             upper[i - 1, i:] += cells
-    return FactoredMixing(lower, np.minimum(1.0, upper))
+    shared = np.flatnonzero((np.minimum(1.0, upper) - lower > EXACT_TOL).any(axis=1))
+    if not shared.size:
+        return MixingMatrix(lower)
+    try:
+        return mixing_matrix(materialize(pm, state_cap))
+    except StateCapExceeded as exc:
+        raise StateCapExceeded(f"components share row {shared[0] + 1}, whose cells need "
+                               f"their joint, and {exc}") from None

@@ -156,3 +156,22 @@ def validate_target_slow(entries, tol: float):
             if b > a + tol:
                 out.append(("row-increase", i, j + 1, f"{b!r} exceeds {a!r} at ({i},{j})"))
     return out
+
+
+def scan_constant_target(n: int, a: float):
+    """(lhs, rhs) of the scan for the construction of the target whose every
+    upper cell is a, in closed form.
+
+    Row k copies X_k into position n with probability (1 + a)/2, and every
+    other bit is a fair coin.  So rhs = 1 + (n - 1) a.  Given a past of length
+    n - g, components 1..n - g each hold a biased bit at position n and every
+    later bit is independent of the past, so phi_g = TV(Bin(n - g, (1 + a)/2),
+    Bin(n - g, 1/2)), and lhs = 0.5 * sum_g phi_g.
+    """
+    p = (1 + a) / 2
+
+    def phi(m):  # TV(Bin(m, p), Bin(m, 1/2))
+        return 0.5 * sum(math.comb(m, s) * abs(p**s * (1 - p) ** (m - s) - 0.5**m)
+                         for s in range(m + 1))
+
+    return 0.5 * sum(phi(n - g) for g in range(1, n)), 1 + (n - 1) * a

@@ -107,13 +107,28 @@ class TestMix:
         assert main(["mix", pm, "-o", out]) == 0
         assert np.abs(read_matrix(out).entries - h.entries).max() <= 1e-12
 
-    def test_overlapping_product_rows_exit_code(self, tmp_path, capsys):
+    @pytest.fixture
+    def overlapping_file(self, tmp_path):
+        # two full-support measures: every row is shared, so mix needs the joint
         rng = np.random.default_rng(7)
-        p, out = str(tmp_path / "pm.json"), tmp_path / "h.json"
-        write_product(p, ProductMeasure(tuple(random_full_support(2, 3, rng) for _ in range(2))))
-        assert main(["mix", p, "-o", str(out)]) == 2
+        p = str(tmp_path / "pm.json")
+        write_product(p, ProductMeasure(tuple(random_full_support(2, 4, rng) for _ in range(2))))
+        return p
+
+    def test_overlapping_product_rows_read_the_joint(self, tmp_path, overlapping_file):
+        joint, out, want = (str(tmp_path / f) for f in ("joint.json", "h.json", "want.json"))
+        assert main(["mix", overlapping_file, "-o", out]) == 0
+        assert main(["product", overlapping_file, "-o", joint]) == 0
+        assert main(["mix", joint, "-o", want]) == 0
+        assert np.abs(read_matrix(out).entries - read_matrix(want).entries).max() <= 1e-12
+
+    def test_overlapping_product_past_the_cap(self, tmp_path, overlapping_file, capsys):
+        # each component has 16 atoms and the joint 256
+        out = tmp_path / "h.json"
+        assert main(["mix", overlapping_file, "-o", str(out), "--state-cap", "100"]) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "factored mixing interval has width" in err
+        assert err == ("error: components share row 1, whose cells need their joint, "
+                       "and q**n = 4**4 exceeds the state cap 100\n")
         assert not out.exists()
 
 
@@ -179,8 +194,8 @@ class TestConstructRoundTrip:
         assert steps[2, 3]["v_star"] == steps[2, 4]["v_star"] == 0.5
         worst = max(abs(s["residual"]) for s in steps.values())
         assert r.stdout.rstrip().endswith(f"max |achieved - target| = {worst:.3e}")
-        fm = factored_mixing_matrix(read_product(pm))
-        assert fm.is_exact() and np.abs(fm.lower - h).max() <= 1e-9
+        fm = factored_mixing_matrix(read_product(pm), state_cap=1)  # the fold, no joint
+        assert np.abs(fm.entries - h).max() <= 1e-9
 
     def test_solver_failure_exit_code(self, tmp_path, target_file, monkeypatch, capsys):
         # a wrong flip probability: the audit in solve_row catches the miss

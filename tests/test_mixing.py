@@ -12,9 +12,11 @@ from etamix import (
     ZeroProbabilityPrefix,
     check_samson_inequality,
     conjecture_scan,
+    construct_from_target,
     eta,
     eta_bar,
     from_weights,
+    materialize,
     mixing_matrix,
     phi_vector,
     random_measure,
@@ -293,6 +295,29 @@ class TestConjectureScan:
     def test_ids_enumerate_input(self):
         rows = conjecture_scan([uniform(2, 2), copy_chain(2)])
         assert [r.measure_id for r in rows] == [0, 1]
+
+    def test_inequality_is_false(self):
+        # X_1..X_10 fair bits with sum S; X_11 = 1 with probability 1 for
+        # S <= 1, 1/3 for S in 2..4 and 0 for S >= 5
+        x = np.array(list(itertools.product((0, 1), repeat=11)))
+        s = x[:, :10].sum(axis=1)
+        f = np.where(s <= 1, 1.0, np.where(s <= 4, 1 / 3, 0.0))
+        probs = np.where(x[:, 10] == 1, f, 1 - f) / 2**10
+        (row,) = conjecture_scan([from_weights(SeqSpace(2, 11), probs)])
+        assert not row.satisfied and row.lhs - row.rhs > 0.1
+        assert (row.lhs, row.rhs) == pytest.approx((2.1230469, 2.0208333), abs=1e-7)
+
+    def test_constant_target_closed_form(self):
+        # the construction of the all-a target against the binomial closed
+        # form, then the closed form alone where the dense engine cannot go
+        for n, a in [(3, 0.5), (4, 0.5), (4, 1.0), (5, 0.5)]:
+            pm, _ = construct_from_target(MixingMatrix(np.triu(np.full((n, n), a), 1)))
+            (row,) = conjecture_scan([materialize(pm)])
+            want = oracles.scan_constant_target(n, a)
+            assert (row.lhs, row.rhs) == pytest.approx(want, abs=1e-12), (n, a)
+        lhs, rhs = oracles.scan_constant_target(100, 0.21)
+        assert lhs > rhs + 3.4
+        assert (lhs, rhs) == pytest.approx((25.22, 21.79), abs=0.005)
 
 
 class TestOneSweep:

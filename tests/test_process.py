@@ -339,9 +339,9 @@ class TestProcessIsAProduct:
         for rep in check_checkpoints(p):
             prefixes = tuple(PureRow(rep.n, c.k, tuple(f for f in c.flips if f[0] <= rep.n))
                              for c in p.components if c.k < rep.n)
-            fm = factored_mixing_matrix(ProductMeasure(prefixes))
-            assert fm.is_exact()
-            big_r = 1.0 + float(fm.exact().entries.sum(axis=1).max())
+            # one row per component: the fold answers under a one-atom cap
+            fm = factored_mixing_matrix(ProductMeasure(prefixes), state_cap=1)
+            big_r = 1.0 + float(fm.entries.sum(axis=1).max())
             assert rep.passed and rep.ratio == (big_r - 1.0) / p.rate(rep.n)
 
 

@@ -21,6 +21,7 @@ from etamix import (
     uniform,
 )
 from etamix.fileio import write_product
+from etamix.products import EXACT_TOL
 
 from helpers import copy_chain, flip_pairs, random_full_support
 
@@ -162,6 +163,12 @@ class TestParallelProduct:
         )
 
 
+def _sandwich(pm: ProductMeasure):
+    """max_c and min(1, sum_c) of the components' stacked matrices."""
+    cells = np.stack([_full_matrix(c) for c in pm.components])
+    return cells.max(axis=0), np.minimum(1.0, cells.sum(axis=0))
+
+
 class TestFactoredMixing:
     def test_sandwich_brackets_truth(self):
         rng = np.random.default_rng(77)
@@ -169,40 +176,45 @@ class TestFactoredMixing:
             pm = ProductMeasure(
                 (random_full_support(2, 3, rng), random_full_support(2, 3, rng))
             )
-            fm = factored_mixing_matrix(pm)
+            lower, upper = _sandwich(pm)
             truth = mixing_matrix(materialize(pm)).entries
-            assert np.all(truth >= fm.lower - 1e-9)
-            assert np.all(truth <= fm.upper + 1e-9)
+            assert np.all(truth >= lower - 1e-9)
+            assert np.all(truth <= upper + 1e-9)
+            assert np.array_equal(factored_mixing_matrix(pm).entries, truth)
 
     def test_disjoint_rows_collapse_to_equality(self):
         mu1, _ = pure_row_measure(ValidRow(3, 1, (0.8, 0.3)))
         mu2, _ = pure_row_measure(ValidRow(3, 2, (0.6,)))
         pm = ProductMeasure((mu1, mu2))
-        fm = factored_mixing_matrix(pm)
-        assert fm.width <= 1e-12
-        assert fm.is_exact()
+        lower, upper = _sandwich(pm)
+        assert np.max(upper - lower) <= 1e-12
+        got = factored_mixing_matrix(pm, state_cap=16)  # the joint has 64 atoms
+        assert np.array_equal(got.entries, lower)
         truth = mixing_matrix(materialize(pm)).entries
-        assert np.allclose(fm.exact().entries, truth, atol=1e-9)
+        assert np.allclose(got.entries, truth, atol=1e-12)
 
-    def test_overlapping_rows_are_not_exact(self):
+    def test_overlapping_rows_read_the_joint(self):
         mu1, _ = pure_row_measure(ValidRow(2, 1, (0.6,)))
         mu2, _ = pure_row_measure(ValidRow(2, 1, (0.5,)))
-        fm = factored_mixing_matrix(ProductMeasure((mu1, mu2)))
-        assert not fm.is_exact()
-        with pytest.raises(ValueError):
-            fm.exact()
+        pm = ProductMeasure((mu1, mu2))
+        lower, upper = _sandwich(pm)
+        assert np.max(upper - lower) > 0.1
+        truth = mixing_matrix(materialize(pm)).entries
+        assert np.array_equal(factored_mixing_matrix(pm).entries, truth)
+        with pytest.raises(StateCapExceeded, match=r"^components share row 1, .* state cap 15$"):
+            factored_mixing_matrix(pm, state_cap=15)
 
     def test_upper_clipped_at_one(self):
-        mu1, _ = pure_row_measure(ValidRow(2, 1, (0.9,)))
-        mu2, _ = pure_row_measure(ValidRow(2, 1, (0.8,)))
-        fm = factored_mixing_matrix(ProductMeasure((mu1, mu2)))
-        assert fm.upper[0, 1] == 1.0
+        # two copies of X_1 into X_2: the sum 2 clips to the max, 1, so the
+        # fold answers under a cap the 16-atom joint would pass
+        pm = ProductMeasure((PureRow(2, 1, ((2, 1.0),)), PureRow(2, 1, ((2, 1.0),))))
+        assert factored_mixing_matrix(pm, state_cap=8).entries[0, 1] == 1.0
+        assert mixing_matrix(materialize(pm)).entries[0, 1] == 1.0
 
     def test_single_component_is_exact(self):
         mu = random_full_support(2, 3, np.random.default_rng(4))
-        fm = factored_mixing_matrix(ProductMeasure((mu,)))
-        assert fm.width == 0.0
-        assert np.allclose(fm.exact().entries, mixing_matrix(mu).entries)
+        got = factored_mixing_matrix(ProductMeasure((mu,)), state_cap=8)
+        assert got.entries.tobytes() == mixing_matrix(mu).entries.tobytes()
 
 
 class TestComponentProtocol:
@@ -214,19 +226,26 @@ class TestComponentProtocol:
         ducks = ProductMeasure(tuple(map(OnlyProtocol, comps)))
         assert materialize(ducks).probs.tobytes() == materialize(plain).probs.tobytes()
         want, got = factored_mixing_matrix(plain), factored_mixing_matrix(ducks)
-        assert np.array_equal(got.lower, want.lower) and np.array_equal(got.upper, want.upper)
+        assert got.entries.tobytes() == want.entries.tobytes()
         write_product(str(tmp_path / "plain.json"), plain)
         write_product(str(tmp_path / "ducks.json"), ducks)
         assert (tmp_path / "ducks.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_fold_is_the_stacked_max_and_sum_bit_for_bit(self):
         rng = np.random.default_rng(22)
+        shared = 0
         for _ in range(60):
             pm = ProductMeasure(_random_components(int(rng.integers(1, 6)), rng))
-            cells = np.stack([_full_matrix(c) for c in pm.components])
-            fm = factored_mixing_matrix(pm)
-            assert fm.lower.tobytes() == cells.max(axis=0).tobytes()
-            assert fm.upper.tobytes() == np.minimum(1.0, cells.sum(axis=0)).tobytes()
+            lower, upper = _sandwich(pm)
+            truth = mixing_matrix(materialize(pm)).entries
+            got = factored_mixing_matrix(pm).entries
+            if np.max(upper - lower) > EXACT_TOL:  # a shared row: the joint's sweep
+                shared += 1
+                assert got.tobytes() == truth.tobytes()
+            else:
+                assert got.tobytes() == lower.tobytes()
+            assert np.abs(got - truth).max() <= 1e-12
+        assert 10 <= shared <= 50
 
     def test_fold_holds_two_matrices_not_a_stack(self):
         # constant rows: one flip position per row, n - 1 components of n x n
@@ -241,7 +260,7 @@ class TestComponentProtocol:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert np.abs(fm.exact().entries - e).max() <= 1e-12
+        assert np.abs(fm.entries - e).max() <= 1e-12
 
     def test_fold_writes_only_the_rows(self):
         # constant rows, one flip each; a fold that pads every row into an
@@ -253,8 +272,7 @@ class TestComponentProtocol:
         fm = factored_mixing_matrix(pm)
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0, f"fold took {elapsed:.2f} s"
-        assert fm.is_exact()
         placed = np.zeros((n, n))
         for c in rows:
             placed[c.k - 1, c.k :] = c.row(n)
-        assert np.array_equal(fm.lower, placed)
+        assert np.array_equal(fm.entries, placed)
