@@ -334,8 +334,7 @@ def check_conditional_preservation(
     laws_a, alive_a, _ = next(_block_laws(after, k, t))
     if not np.array_equal(alive_b, alive_a):
         return False
-    if not alive_b.any():
-        return True
+    # before's atoms sum to 1, so some prefix is alive and the max has cells
     return float(np.abs(laws_b[alive_b] - laws_a[alive_b]).max()) <= PRESERVATION_TOL
 
 

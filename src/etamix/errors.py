@@ -44,9 +44,9 @@ class TargetInvalid(ValueError):
 
 
 class HorizonTooSmall(ValueError):
-    """No admissible checkpoint horizon within n_max; carries the fix, an
-    n_max at which a rerun admits every checkpoint, named only within the
-    rate-table cap."""
+    """No admissible checkpoint horizon within n_max; ``required_n_max`` is
+    an n_max at which any valid rate admits every checkpoint, named in the
+    message only within a builtin rate's 2^24-entry table cap."""
 
     exit_code = 5
 
@@ -57,7 +57,8 @@ class HorizonTooSmall(ValueError):
         self.required_n_max = required
         fix = f"n_max >= {required} suffices"
         if required > DEFAULT_STATE_CAP:
-            fix = f"the horizon it needs is past the {DEFAULT_STATE_CAP}-entry rate-table cap"
+            fix = (f"the horizon it needs is past the {DEFAULT_STATE_CAP}-entry rate-table cap"
+                   " of the builtin rates; only a table rate reaches that far")
         super().__init__(f"no horizon <= {n_max} admits checkpoint k={k} at eps={eps}; {fix}")
 
 

@@ -596,6 +596,14 @@ class TestExitLines:
         "horizon": ({"rate": LINEAR, "k_max": 10, "n_max": 20},
                     5, "error: no horizon <= 20 admits checkpoint k=5 at "
                        "eps=0.16666666666666666; n_max >= 110 suffices\n"),
+        # checkpoint 1 needs n_max >= 2e7, past the builtin rates' table cap;
+        # a table has no cap, so the line does not call a rerun futile
+        "table horizon past the cap": (
+            {"rate": {"kind": "table", "values": list(range(1, 101))}, "k_max": 1,
+             "n_max": 100, "eps": [5e-8]},
+            5, "error: no horizon <= 100 admits checkpoint k=1 at eps=5e-08; the horizon it "
+               "needs is past the 16777216-entry rate-table cap of the builtin rates; only a "
+               "table rate reaches that far\n"),
     }
 
     @pytest.mark.parametrize("case", list(RATE))
@@ -612,13 +620,14 @@ class TestExitLines:
                        "error: each matrix row must be a list of numbers\n"),
         "huge int": ([[0, 10**400], [0, 0]],
                      "error: each matrix row: int too large to convert to float\n"),
+        "empty": ([], "error: entries must be square, got shape (0,)\n"),
     }
 
     @pytest.mark.parametrize("case", list(MATRIX))
     def test_matrix(self, tmp_path, case, capsys):
         entries, line = self.MATRIX[case]
         path, out = tmp_path / "h.json", tmp_path / "b.json"
-        path.write_text(json.dumps({"n": 2, "entries": entries}))
+        path.write_text(json.dumps({"n": len(entries), "entries": entries}))
         assert main(["bounds", str(path), "--t", "1", "-o", str(out)]) == 2
         assert capsys.readouterr().err == line
         assert not out.exists()

@@ -64,6 +64,8 @@ class TestOpNorm2:
     def test_identity_and_zero(self):
         assert op_norm_2(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
         assert op_norm_2(np.zeros((3, 3))) == 0.0
+        with pytest.raises(ValueError, match="ndim=1"):
+            op_norm_2(np.ones(3))
 
     def test_matches_lapack_on_random_nonneg(self):
         rng = np.random.default_rng(55)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import etamix.construction as construction
 import etamix.measures as measures
 from etamix import (
+    FiniteMeasure,
     MixingMatrix,
     PureRow,
     SeqSpace,
@@ -271,6 +272,16 @@ class TestPureRowMeasure:
         row = ValidRow(4, 1, (0.8, 0.5, 0.2))
         _, _, its = pure_row_measure(row, return_iterates=True)
         assert not check_conditional_preservation(its[0], its[1], 1, 3)
+        # v = 1 kills the prefix x_1 = 1, alive before: a prefix alive in
+        # one measure only is a change
+        mu = FiniteMeasure(SeqSpace(2, 2), np.array([0.5, 0.0, 0.5, 0.0]))
+        assert not check_conditional_preservation(mu, reweight(mu, 1, 2, 1.0), 1, 2)
+
+    def test_preservation_check_refuses_bad_arguments(self):
+        with pytest.raises(ValueError, match="different spaces"):
+            check_conditional_preservation(uniform(2, 2), uniform(2, 3), 1, 2)
+        with pytest.raises(ValueError, match="need 1 <= k < t <= n"):
+            check_conditional_preservation(uniform(2, 3), uniform(2, 3), 2, 2)
 
     def test_flat_segment_skips_the_solve(self, monkeypatch):
         solved = []

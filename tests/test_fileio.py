@@ -147,6 +147,9 @@ class TestMeasureRoundTrip:
         atomic_write(p, "{not json")
         with pytest.raises(FileFormatError):
             read_product(p)
+        atomic_write(p, "[1, 2]")
+        with pytest.raises(FileFormatError, match="top level must be a JSON object"):
+            read_product(p)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileFormatError):
@@ -284,6 +287,10 @@ class TestProductRoundTrip:
         }
         atomic_write(p, json.dumps(obj))
         with pytest.raises(FileFormatError):
+            read_product(p)
+        obj = {"n": 3, "components": [{"q": 2, "n": 2, "probs": [0.25] * 4}]}
+        atomic_write(p, json.dumps(obj))
+        with pytest.raises(FileFormatError, match="declared n=3 but components have n=2"):
             read_product(p)
 
     @pytest.mark.parametrize("n", [2.5, True])

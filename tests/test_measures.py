@@ -42,6 +42,10 @@ class TestSeqSpace:
             SeqSpace(1, 3)
         with pytest.raises(ValueError):
             SeqSpace(2, 0)
+        with pytest.raises(ValueError, match="longer than n=2"):
+            SeqSpace(2, 2).index((0, 1, 0))
+        with pytest.raises(ValueError, match="symbol 2 outside alphabet of size 2"):
+            SeqSpace(2, 2).index((0, 2))
 
     def test_state_cap_default(self):
         with pytest.raises(StateCapExceeded):
@@ -76,6 +80,9 @@ class TestFiniteMeasure:
     def test_uniform(self):
         mu = uniform(2, 3)
         assert np.array_equal(mu.probs, np.full(8, 0.125))
+        assert uniform(SeqSpace(2, 3)).probs.tolist() == mu.probs.tolist()
+        with pytest.raises(ValueError, match="either a space or"):
+            uniform(SeqSpace(2, 2), 2)
 
     def test_from_weights(self):
         mu = from_weights(SeqSpace(2, 2), [1.0, 1.0, 2.0, 0.0])
@@ -95,6 +102,10 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError):
             FiniteMeasure(space, np.array([0.6, 0.6]))
         FiniteMeasure(space, np.array([0.5, 0.5 + 1e-13]))
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+            FiniteMeasure(space, np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="negative atom"):
+            FiniteMeasure(space, np.array([1.5, -0.5]))
 
     @pytest.mark.parametrize("probs", [[np.nan] * 4, [0.5, 0.5, np.nan, 0.0]])
     def test_constructor_rejects_nan_atoms(self, probs):
@@ -119,6 +130,8 @@ class TestFiniteMeasure:
         mu = copy_chain(3)
         assert mu.prob((0, 0, 0)) == 0.5
         assert mu.prob((0, 1, 0)) == 0.0
+        with pytest.raises(ValueError, match="full-length"):
+            mu.prob((0, 0))
 
     def test_random_measure_is_deterministic(self):
         a = random_measure(3, 2, rng=np.random.default_rng(7))
@@ -139,6 +152,8 @@ class TestTvDistance:
         assert tv_distance(np.array([0.2, 0.8]), np.array([0.8, 0.2])) == pytest.approx(0.6)
         # a difference of measures has entries of either sign
         assert tv_distance(np.array([0.3, -0.3]), np.zeros(2)) == pytest.approx(0.3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            tv_distance(np.zeros(2), np.zeros(3))
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),

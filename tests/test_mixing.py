@@ -98,6 +98,8 @@ class TestEta:
             eta(mu, 2, 2, (0,), 0, 1)
         with pytest.raises(ValueError):
             eta(mu, 0, 2, (), 0, 1)
+        with pytest.raises(ValueError, match="y has length 0, expected 1"):
+            eta(mu, 2, 3, (), 0, 1)
 
 
 class TestEtaBar:
