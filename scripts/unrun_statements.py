@@ -139,8 +139,8 @@ def main(args: list[str]) -> int:
         sys.path.insert(0, SRC)
         start_tracing(ran)
         try:
-            status = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"),
-                                  *args])
+            status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                                  os.path.join(ROOT, "tests"), *args])
         finally:
             sys.settrace(None)
             threading.settrace(None)

@@ -177,8 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, SolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for v in getattr(exc, "violations", ()):
-            print(str(v), file=sys.stderr)
         return getattr(exc, "exit_code", FileFormatError.exit_code)
 
 

@@ -1,8 +1,8 @@
 """The CLI's failure contract, and the state cap.
 
 Each exception ``etamix`` maps to an exit code carries it as ``exit_code``:
-``cli.main`` prints ``error: <exc>``, then each of its ``violations`` if it
-has them, on stderr and returns that code; any other ValueError exits 2.
+``cli.main`` prints the one line ``error: <exc>`` on stderr and returns that
+code; any other ValueError exits 2.
 Nothing here imports numpy, so the CLI catches every one of them while
 loading only the engine its command runs.  Each class is re-exported by the
 module that raises it, and the package exports the same objects.

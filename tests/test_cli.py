@@ -655,8 +655,7 @@ class TestExitLines:
         write_matrix(bad, MixingMatrix([[0.0, 0.2, 0.5], [0.0, 0.0, 0.1], [0.0] * 3]))
         assert main(["construct", bad, "-o", str(tmp_path / "pm.json")]) == 4
         violation = "row-increase at (1,3): 0.5 exceeds 0.2 at (1,2)"
-        assert capsys.readouterr().err == (
-            f"error: invalid mixing target: {violation}\n{violation}\n")
+        assert capsys.readouterr().err == f"error: invalid mixing target: {violation}\n"
 
     def test_solve_error(self, tmp_path, target_file, monkeypatch, capsys):
         monkeypatch.setattr(construction, "_flip_solve", lambda tail, target: 1.0)

@@ -100,11 +100,22 @@ class TestMeasureRoundTrip:
 
     def test_float_list_formats_every_value(self):
         xs = np.array([0.1, -0.0, 0.0, 0.1, 1 / 3, 5e-324, 1 / 3, 1e22, -0.0])
-        # past one 2^16-value slice, with repeats and -0.0 on both sides of the seam
-        seam = np.resize(np.append(xs, np.random.default_rng(5).random(7)), 2**16 + 3)
+        # past one 2^18-value slice, with repeats and -0.0 on both sides of the seam
+        seam = np.resize(np.append(xs, np.random.default_rng(5).random(7)), 2**18 + 3)
         for v in (xs, xs[::2], np.random.default_rng(4).random(50), seam):
             want = "[" + ", ".join(format(float(x), ".17g") for x in v) + "]"
             assert "".join(_float_list(v)) == want
+
+    def test_float_list_dedupes_one_slice_at_a_time(self, monkeypatch):
+        sizes, unique = [], np.unique
+
+        def counted_unique(a, **kw):
+            sizes.append(a.size)
+            return unique(a, **kw)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        "".join(_float_list(np.random.default_rng(6).random(2**18 + 5)))
+        assert sizes == [2**18, 5]
 
     def test_version_tag_present(self, tmp_path):
         obj = json.loads(_written(tmp_path, write_measure, uniform(2, 2)))
@@ -291,6 +302,12 @@ class TestProductRoundTrip:
         obj = {"n": 3, "components": [{"q": 2, "n": 2, "probs": [0.25] * 4}]}
         atomic_write(p, json.dumps(obj))
         with pytest.raises(FileFormatError, match="declared n=3 but components have n=2"):
+            read_product(p)
+
+    def test_non_object_component_rejected(self, tmp_path):
+        p = str(tmp_path / "pm.json")
+        atomic_write(p, json.dumps({"components": [[0.25] * 4]}))
+        with pytest.raises(FileFormatError, match="measure object must be a JSON object"):
             read_product(p)
 
     @pytest.mark.parametrize("n", [2.5, True])
