@@ -21,8 +21,9 @@ _EXPORTS = {
     "products": ("ProductMeasure", "factored_mixing_matrix", "materialize", "series_product"),
     "construction": ("PureRow", "TraceStep", "ValidRow", "check_conditional_preservation",
                      "construct_from_target", "pure_row_measure", "reweight", "solve_row"),
-    "process": ("Checkpoint", "CheckpointReport", "RateFunction", "TruncatedProcess",
-                "build_process", "check_checkpoints", "delta_matrix", "rate_R"),
+    "process": ("BuiltinRate", "Checkpoint", "CheckpointReport", "RateFunction",
+                "TruncatedProcess", "build_process", "check_checkpoints", "delta_matrix",
+                "rate_R"),
     "concentration": ("bounds_report", "coupling_matrices", "op_norm_2"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -44,9 +44,8 @@ class TargetInvalid(ValueError):
 
 
 class HorizonTooSmall(ValueError):
-    """No admissible checkpoint horizon within n_max; ``required_n_max`` is
-    an n_max at which any valid rate admits every checkpoint, named in the
-    message only within a builtin rate's 2^24-entry table cap."""
+    """No admissible checkpoint horizon within n_max; the message names
+    ``required_n_max``, an n_max at which every valid rate admits them all."""
 
     exit_code = 5
 
@@ -55,11 +54,8 @@ class HorizonTooSmall(ValueError):
         self.eps = eps
         self.n_max = n_max
         self.required_n_max = required
-        fix = f"n_max >= {required} suffices"
-        if required > DEFAULT_STATE_CAP:
-            fix = (f"the horizon it needs is past the {DEFAULT_STATE_CAP}-entry rate-table cap"
-                   " of the builtin rates; only a table rate reaches that far")
-        super().__init__(f"no horizon <= {n_max} admits checkpoint k={k} at eps={eps}; {fix}")
+        super().__init__(f"no horizon <= {n_max} admits checkpoint k={k} at eps={eps}; "
+                         f"n_max >= {required} suffices")
 
 
 class SolveError(RuntimeError):

@@ -285,17 +285,13 @@ def read_product(path: str, state_cap: int = DEFAULT_STATE_CAP) -> ProductMeasur
 
 
 def read_process_spec(path: str):
-    """Returns (RateFunction, k_max, n_max, eps-or-None), checking JSON
-    shapes and types; RateFunction and build_process check the values."""
-    from .process import RateFunction
+    """Returns (rate, k_max, n_max, eps-or-None), checking JSON shapes and
+    types; RateFunction, BuiltinRate and build_process check the values."""
+    from .process import BuiltinRate, RateFunction
 
     obj = _load(path)
     k_max, n_max, rate = _fields(obj, "process spec", "k_max", "n_max", "rate")
     k_max, n_max = _strict_int(k_max, "k_max"), _strict_int(n_max, "n_max")
-    # build_process checks this too, but a builtin rate tabulates n_max
-    # entries before it runs, and n_max <= 0 would read as an empty table
-    if n_max < 2:
-        raise FileFormatError(f"n_max must be >= 2, got {n_max}")
     if not isinstance(rate, dict):
         raise FileFormatError("rate must be an object")
     kind = rate.get("kind")
@@ -306,15 +302,8 @@ def read_process_spec(path: str):
         r = RateFunction(tuple(_strict_int(v, "rate table value") for v in values))
     elif kind == "builtin":
         name = rate.get("name")
-        if name == "sqrt":
-            r = RateFunction.sqrt(n_max)
-        elif name == "linear":
-            r = RateFunction.linear(n_max)
-        elif name == "const":
-            c = _strict_int(rate.get("value"), "const rate value")
-            r = RateFunction.constant(c, n_max)
-        else:
-            raise FileFormatError(f"unknown builtin rate {name!r}")
+        c = _strict_int(rate.get("value"), "const rate value") if name == "const" else 1
+        r = BuiltinRate(name, n_max, c)
     else:
         raise FileFormatError(f"rate kind must be 'table' or 'builtin', got {kind!r}")
     eps = obj.get("eps")

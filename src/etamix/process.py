@@ -3,6 +3,7 @@
 The mixing rate of a measure at horizon n is R(n) = the max row sum of the
 unit-diagonal coefficient matrix Delta_n = I + [eta_bar of the length-n
 prefix].  Given a valid rate r (integer, nondecreasing, 1 <= r(n) <= n),
+a :class:`RateFunction` table or a :class:`BuiltinRate` formula,
 build_process picks, for each checkpoint k, the smallest horizon n_k with
 
     1 - eps_k  <=  min(r(n_k), n_k - k) / r(n_k)  <=  1,
@@ -30,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_STATE_CAP, HorizonTooSmall, StateCapExceeded, summarize
+from .errors import HorizonTooSmall, summarize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,8 +41,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Tabulated integer rate r(1), ..., r(n_max).  Values must be integers
-    (numpy integers included); a float or a string is a TypeError."""
+    """Tabulated integer rate r(1), ..., r(n_max), checked when built: a float
+    or a string is a TypeError (numpy integers pass), and a value outside
+    [1, n] or a decrease a ValueError naming the first 8 violations."""
 
     values: tuple[int, ...]
 
@@ -49,6 +51,9 @@ class RateFunction:
         object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
         if not self.values:
             raise ValueError("rate table is empty")
+        shown = summarize(_rate_violations(self.values), lambda v: v[0].format(*v[1]))
+        if shown:
+            raise ValueError("invalid rate: " + shown)
 
     @property
     def n_max(self) -> int:
@@ -59,25 +64,30 @@ class RateFunction:
             raise ValueError(f"n={n} outside 1..{self.n_max}")
         return self.values[n - 1]
 
-    @classmethod
-    def from_callable(cls, fn, n_max: int) -> "RateFunction":
-        if n_max > DEFAULT_STATE_CAP:
-            raise StateCapExceeded(
-                f"a rate table of {n_max} entries exceeds the state cap {DEFAULT_STATE_CAP}"
-            )
-        return cls(tuple(map(fn, range(1, n_max + 1))))
 
-    @classmethod
-    def sqrt(cls, n_max: int) -> "RateFunction":
-        return cls.from_callable(lambda n: math.isqrt(n - 1) + 1, n_max)
+@dataclass(frozen=True)
+class BuiltinRate:
+    """Builtin rate on 1..n_max, computed when called: ``linear`` is n, ``sqrt``
+    isqrt(n - 1) + 1 and ``const`` min(n, c) for an integer c >= 1.  Each lies
+    in [1, n] and steps by 0 or 1, so it is valid by construction."""
 
-    @classmethod
-    def linear(cls, n_max: int) -> "RateFunction":
-        return cls.from_callable(lambda n: n, n_max)
+    name: str
+    n_max: int
+    c: int = 1
 
-    @classmethod
-    def constant(cls, c: int, n_max: int) -> "RateFunction":
-        return cls.from_callable(lambda n: min(n, c), n_max)
+    def __post_init__(self) -> None:
+        if self.name not in ("sqrt", "linear", "const"):
+            raise ValueError(f"unknown builtin rate {self.name!r}")
+        object.__setattr__(self, "c", operator.index(self.c))
+        if self.c < 1:
+            raise ValueError(f"const rate value must be >= 1, got {self.c}")
+
+    def __call__(self, n: int) -> int:
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"n={n} outside 1..{self.n_max}")
+        if self.name == "sqrt":
+            return math.isqrt(n - 1) + 1
+        return n if self.name == "linear" else min(n, self.c)
 
 
 def _rate_violations(values: tuple[int, ...]):
@@ -96,15 +106,18 @@ def _admits(rn: int, n: int, k: int, eps: float) -> bool:
     return 1.0 - eps <= min(rn, n - k) / rn
 
 
-def _horizon_bound(k: int, eps: float) -> int:
-    """Least n admitting checkpoint k at the worst rate r(n) = n, so at every
-    valid rate.  (n - k) / n grows with n: double, then halve the gap."""
-    lo, hi = k, k + 1
-    while not _admits(hi, hi, k, eps):
-        lo, hi = hi, 2 * hi
+def _gallop(r, k: int, eps: float, n: int, n_max) -> int:
+    """Least horizon in [n, n_max] admitting checkpoint k, else n_max + 1, on
+    a rate that steps by at most 1 (see build_process): double the step, then
+    halve the gap (Bentley & Yao 1976), in fewer than 2 log2(n_max) + 1 calls."""
+    lo, hi = n - 1, n
+    while hi > n_max or not _admits(r(hi), hi, k, eps):
+        if hi >= n_max:
+            return n_max + 1
+        lo, hi = hi, min(3 * hi - 2 * lo, n_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _admits(mid, mid, k, eps) else (mid, hi)
+        lo, hi = (lo, mid) if _admits(r(mid), mid, k, eps) else (mid, hi)
     return hi
 
 
@@ -119,7 +132,7 @@ class Checkpoint:
 class TruncatedProcess:
     """Parallel product of copy components, held as its checkpoint table."""
 
-    rate: RateFunction
+    rate: RateFunction | BuiltinRate
     n_max: int
     checkpoints: tuple[Checkpoint, ...]
 
@@ -136,24 +149,27 @@ class TruncatedProcess:
 
 
 def build_process(
-    r: RateFunction,
+    r: RateFunction | BuiltinRate,
     k_max: int,
     n_max: int,
     eps: tuple[float, ...] | None = None,
 ) -> TruncatedProcess:
     """Assemble a process whose rate tracks r at k_max checkpoints.
 
-    ``eps`` defaults to (1/2, 1/3, ..., 1/(k_max+1)) and must be strictly
+    ``eps`` defaults to 1/(k + 1) at checkpoint k and must be strictly
     decreasing within (0, 1).  Checkpoint k takes the smallest horizon
     n_k > k with h_k * (n_k - k) / r(n_k) in [1 - eps_k, 1] for
     h_k = min(1, r(n_k) / (n_k - k)); a checkpoint no horizon <= n_max
-    admits raises :class:`HorizonTooSmall`, naming :func:`_horizon_bound`
-    for the last checkpoint as the fix.
+    admits raises :class:`HorizonTooSmall`, naming as the fix the least
+    n_max at which r(n) = n, the worst rate, admits the last checkpoint.
 
-    One forward scan finds every n_k.  If n admits k it admits k - 1:
-    min(r, n - k + 1) / r >= min(r, n - k) / r, and 1 - eps_{k-1} <=
-    1 - eps_k after rounding.  So n_k >= n_{k-1}, and the scan for k
-    resumes at max(n_{k-1}, k + 1): O(n_max + k_max) steps in all.
+    If n admits k it admits k - 1: min(r, n - k + 1) / r >= min(r, n - k) / r,
+    and 1 - eps_{k-1} <= 1 - eps_k after rounding.  So n_k >= n_{k-1}, and
+    the search for k starts at max(n_{k-1}, k + 1): a table's scan takes
+    O(n_max + k_max) steps in all.  A builtin steps by at most 1, so n + 1
+    admits k if n does: the ratio stays 1 once r(n) <= n - k, and before
+    that (n - k) / r(n) gains 1 above and 0 or 1 below, so it grows, and
+    correctly rounded division keeps that order: a gallop is exact.
 
     h_k is always 1.  At n = k+1, r(n) >= 1 = n - k.  If n is the first
     horizon with r(n) < n - k, then r(n-1) >= n-1-k and r is
@@ -166,31 +182,28 @@ def build_process(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if r.n_max < n_max:
         raise ValueError(f"rate table covers 1..{r.n_max}, need 1..{n_max}")
-    shown = summarize(_rate_violations(r.values), lambda v: v[0].format(*v[1]))
-    if shown:
-        raise ValueError("invalid rate: " + shown)
-    if eps is None:
-        # checkpoint k needs a horizon n_k > k, so the loop below stops by
-        # k = n_max at the latest
-        eps = tuple(1.0 / (k + 1) for k in range(1, min(k_max, n_max) + 1))
-    elif len(eps) != k_max:
-        raise ValueError(f"need {k_max} eps values, got {len(eps)}")
-    eps = tuple(float(e) for e in eps)
-    if any(not 0.0 < e < 1.0 for e in eps):
-        raise ValueError(f"eps values must lie in (0, 1), got {eps}")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"eps values must be strictly decreasing, got {eps}")
-
-    checkpoints = []
-    n = 1
-    for k, e in enumerate(eps, start=1):
-        n = max(n, k + 1)
-        while n <= n_max and not _admits(r.values[n - 1], n, k, e):
-            n += 1
+    if eps is not None:
+        if len(eps) != k_max:
+            raise ValueError(f"need {k_max} eps values, got {len(eps)}")
+        eps = tuple(float(e) for e in eps)
+        if any(not 0.0 < e < 1.0 for e in eps):
+            raise ValueError(f"eps values must lie in (0, 1), got {eps}")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError(f"eps values must be strictly decreasing, got {eps}")
+    checkpoints, n = [], 1
+    for k in range(1, k_max + 1):
+        e = 1.0 / (k + 1) if eps is None else eps[k - 1]
+        n = max(n, k + 1)  # n_k > k, so this stops by k = n_max at the latest
+        if isinstance(r, RateFunction):  # a table that steps by 2 can lose k again: scan
+            while n <= n_max and not _admits(r.values[n - 1], n, k, e):
+                n += 1
+        else:
+            n = _gallop(r, k, e, n, n_max)
         if n > n_max:
-            # the bound grows with k and as eps falls: a rerun's last checkpoint needs the most
-            last = eps[-1] if len(eps) == k_max else 1 / (k_max + 1)
-            raise HorizonTooSmall(k, e, n_max, _horizon_bound(k_max, last))
+            # the fix grows with k and as eps falls: a rerun's last checkpoint needs the most
+            last = 1 / (k_max + 1) if eps is None else eps[-1]
+            fix = _gallop(lambda m: m, k_max, last, k_max + 1, math.inf)
+            raise HorizonTooSmall(k, e, n_max, fix)
         checkpoints.append(Checkpoint(k, e, n))
     return TruncatedProcess(r, n_max, tuple(checkpoints))
 
@@ -237,7 +250,8 @@ def check_checkpoints(p: TruncatedProcess) -> list[CheckpointReport]:
     later j adds nothing if n_j > n_k and only n_k - j < n_k - k if
     n_j = n_k.  So R(n_k) - 1 is the running max of n_j - j over j <= k,
     which rate_R(p, n_k) - 1 equals bit for bit.  ratio divides that
-    integer by r(n_k), both far below 2^53, so ratio <= 1 is exact.
+    integer by r(n_k), and int division rounds correctly at any size, so
+    ratio <= 1 is exact.
     """
     out = []
     top = 0

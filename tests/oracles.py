@@ -175,3 +175,29 @@ def scan_constant_target(n: int, a: float):
                          for s in range(m + 1))
 
     return 0.5 * sum(phi(n - g) for g in range(1, n)), 1 + (n - 1) * a
+
+
+def first_horizon(r, k: int, eps: float, n: int, n_max):
+    """The least horizon m in [n, n_max] at which h = min(1, r(m) / (m - k))
+    puts h (m - k) / r(m) in [1 - eps, 1], reading r one m at a time, or
+    None if there is none."""
+    for m in itertools.takewhile(lambda m: m <= n_max, itertools.count(n)):
+        rm = r(m)
+        h = min(1.0, rm / (m - k))
+        if 1.0 - eps <= h * (m - k) / rm <= 1.0:
+            return m
+    return None
+
+
+def first_horizons(r, k_max: int, n_max: int, eps=None):
+    """Checkpoint horizons by definition: checkpoint k, at eps_k (default
+    1/(k + 1)), takes its first horizon from max(n_{k-1}, k + 1) on.
+    Returns the horizons and the first checkpoint none admits, or None."""
+    horizons, n = [], 1
+    for k in range(1, k_max + 1):
+        n = first_horizon(r, k, 1.0 / (k + 1) if eps is None else eps[k - 1],
+                          max(n, k + 1), n_max)
+        if n is None:
+            return horizons, k
+        horizons.append(n)
+    return horizons, None

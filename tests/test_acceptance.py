@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from etamix import (
+    BuiltinRate,
     MixingMatrix,
     ProductMeasure,
-    RateFunction,
     ValidRow,
     bounds_report,
     build_process,
@@ -201,7 +201,7 @@ def test_criterion_5_series_block_structure():
 def test_criterion_6_rate_tracking():
     t0 = time.perf_counter()
     n_max = 64
-    p = build_process(RateFunction.sqrt(n_max), k_max=5, n_max=n_max)
+    p = build_process(BuiltinRate("sqrt", n_max), k_max=5, n_max=n_max)
     reports = check_checkpoints(p)
     ratios_ok = all(r.passed for r in reports)
     rs = [rate_R(p, n) for n in range(1, n_max + 1)]

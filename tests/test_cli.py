@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -412,17 +413,33 @@ class TestRate:
         assert r.returncode == 5
         assert "n_max >= 110 suffices" in r.stderr
 
-    def test_horizon_past_the_rate_table_cap_names_no_rerun(self, tmp_path, capsys):
-        # checkpoint 5000 needs n_max >= 25005000, which no builtin rate
-        # table may hold (exit 3 on a rerun), so no n_max is suggested
+    def test_horizon_past_the_old_rate_table_cap_names_a_rerun(self, tmp_path, capsys):
+        # checkpoint 5000 needs n_max >= 25005000, past the 2^24 entries a
+        # builtin rate once tabulated; a builtin holds no table, so the hint
+        # names that n_max and a rerun there passes
+        spec = {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 5000, "n_max": 64}
+        out = str(tmp_path / "cp.csv")
+        assert main(["rate", self._spec(tmp_path, spec), "-o", out]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.rstrip().endswith("; n_max >= 25005000 suffices")
+        spec["n_max"] = 25005000
+        assert main(["rate", self._spec(tmp_path, spec), "-o", out]) == 0
+        assert "5000/5000 checkpoints pass" in capsys.readouterr().out
+
+    def test_default_eps_is_built_one_checkpoint_at_a_time(self, tmp_path, capsys):
+        # a tuple of min(k_max, n_max) = 10^8 default eps values would take
+        # gigabytes; checkpoint 10000 needs n >= 10000 * 10001 > n_max
         spec = self._spec(
             tmp_path,
-            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 5000, "n_max": 64},
+            {"rate": {"kind": "builtin", "name": "linear"}, "k_max": 10**12, "n_max": 10**8},
         )
+        start = time.perf_counter()
         assert main(["rate", spec, "-o", str(tmp_path / "cp.csv")]) == 5
+        elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "rate-table cap" in err
-        assert "n_max >=" not in err and "25005000" not in err
+        assert err.startswith("error: no horizon <= 100000000 admits checkpoint k=10000 at ")
+        assert err.count("\n") == 1 and "; n_max >= " in err
+        assert elapsed < 1.0, f"rate took {elapsed:.2f} s"
 
     def test_linear_rate_at_k_max_100(self, tmp_path):
         # checkpoint k of the linear rate needs (n - k) / n >= 1 - 1 / (k + 1),
@@ -590,20 +607,21 @@ class TestExitLines:
                            "k_max": 1, "n_max": 5},
                           2, "error: invalid rate: r(3) = 0 outside [1, 3]; "
                              "r(3) = 0 < r(2) = 2\n"),
-        "table past the cap": ({"rate": LINEAR, "k_max": 1, "n_max": (1 << 24) + 1},
-                               3, "error: a rate table of 16777217 entries exceeds "
-                                  "the state cap 16777216\n"),
+        # a builtin rate holds no table, so n_max past the 2^24 state cap is no breach
+        "table past the cap": ({"rate": LINEAR, "k_max": 1, "n_max": (1 << 24) + 1}, 0, ""),
+        "const zero": ({"rate": {"kind": "builtin", "name": "const", "value": 0},
+                        "k_max": 1, "n_max": 8},
+                       2, "error: const rate value must be >= 1, got 0\n"),
         "horizon": ({"rate": LINEAR, "k_max": 10, "n_max": 20},
                     5, "error: no horizon <= 20 admits checkpoint k=5 at "
                        "eps=0.16666666666666666; n_max >= 110 suffices\n"),
-        # checkpoint 1 needs n_max >= 2e7, past the builtin rates' table cap;
-        # a table has no cap, so the line does not call a rerun futile
+        # checkpoint 1 needs n_max >= 2e7, past the 2^24 state cap: the line
+        # names it all the same, as every exit-5 line does
         "table horizon past the cap": (
             {"rate": {"kind": "table", "values": list(range(1, 101))}, "k_max": 1,
              "n_max": 100, "eps": [5e-8]},
-            5, "error: no horizon <= 100 admits checkpoint k=1 at eps=5e-08; the horizon it "
-               "needs is past the 16777216-entry rate-table cap of the builtin rates; only a "
-               "table rate reaches that far\n"),
+            5, "error: no horizon <= 100 admits checkpoint k=1 at eps=5e-08; "
+               "n_max >= 20000000 suffices\n"),
     }
 
     @pytest.mark.parametrize("case", list(RATE))
@@ -613,7 +631,7 @@ class TestExitLines:
         path.write_text(json.dumps(spec))
         assert main(["rate", str(path), "-o", str(out)]) == code
         assert capsys.readouterr().err == line
-        assert not out.exists()
+        assert out.exists() == (code == 0)
 
     MATRIX = {
         "true entry": ([[0, True], [0, 0]],

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from etamix import (
+    BuiltinRate,
     MixingMatrix,
     ProductMeasure,
     PureRow,
-    RateFunction,
     SeqSpace,
     StateCapExceeded,
     ValidRow,
@@ -339,7 +339,7 @@ class TestProcessSpec:
                        "k_max": 3, "n_max": 12}
         )
         r, k_max, n_max, eps = read_process_spec(p)
-        assert r.values == RateFunction.sqrt(12).values
+        assert tuple(r(n) for n in range(1, 13)) == (1, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4)
         assert (k_max, n_max, eps) == (3, 12, None)
 
     def test_builtin_const_needs_value(self, tmp_path):
@@ -415,7 +415,7 @@ class TestReports:
                              "kontram_inf", "kontram_2"]
 
     def test_checkpoint_csv_layout(self, tmp_path):
-        p = build_process(RateFunction.sqrt(12), k_max=2, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=2, n_max=12)
         text = _written(tmp_path, write_checkpoints, check_checkpoints(p))
         lines = text.splitlines()
         assert lines[0] == f"# {FORMAT_VERSION}"

@@ -18,7 +18,7 @@ SUBMODULES = ("cli", "concentration", "construction", "errors", "fileio", "measu
 
 
 def test_all_is_the_library_names():
-    assert len(etamix.__all__) == len(set(etamix.__all__)) == 47
+    assert len(etamix.__all__) == len(set(etamix.__all__)) == 48
     assert not set(etamix.__all__) & set(SUBMODULES)
     assert all(not name.startswith("_") for name in etamix.__all__)
 

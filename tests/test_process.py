@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import time
 import types
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import etamix.measures as measures
 import etamix.process as process_module
 from etamix import (
+    BuiltinRate,
     Checkpoint,
     HorizonTooSmall,
     ProductMeasure,
@@ -28,26 +30,29 @@ from etamix import (
 )
 
 from helpers import flip_pairs
-from oracles import FlipLawExact, mixing_matrix_slow
+from oracles import FlipLawExact, first_horizon, first_horizons, mixing_matrix_slow
 
 
 class TestRateFunction:
     def test_sqrt_table(self):
-        assert RateFunction.sqrt(10).values == (1, 2, 2, 2, 3, 3, 3, 3, 3, 4)
+        r = BuiltinRate("sqrt", 10)
+        assert tuple(r(n) for n in range(1, 11)) == (1, 2, 2, 2, 3, 3, 3, 3, 3, 4)
 
     def test_linear_table(self):
-        assert RateFunction.linear(5).values == (1, 2, 3, 4, 5)
+        r = BuiltinRate("linear", 5)
+        assert tuple(r(n) for n in range(1, 6)) == (1, 2, 3, 4, 5)
 
     def test_constant_table(self):
-        assert RateFunction.constant(3, 6).values == (1, 2, 3, 3, 3, 3)
+        r = BuiltinRate("const", 6, 3)
+        assert tuple(r(n) for n in range(1, 7)) == (1, 2, 3, 3, 3, 3)
 
     def test_call_bounds(self):
-        r = RateFunction.sqrt(5)
-        assert r(1) == 1 and r(5) == 3
-        with pytest.raises(ValueError):
-            r(0)
-        with pytest.raises(ValueError):
-            r(6)
+        for r in (BuiltinRate("sqrt", 5), RateFunction((1, 2, 2, 2, 3))):
+            assert r(1) == 1 and r(5) == 3
+            with pytest.raises(ValueError):
+                r(0)
+            with pytest.raises(ValueError):
+                r(6)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -60,10 +65,23 @@ class TestRateFunction:
                 RateFunction((1, bad))
         assert RateFunction(np.arange(1, 4)).values == (1, 2, 3)
 
-    def test_builtins_are_valid(self):
-        for r in (RateFunction.sqrt(30), RateFunction.linear(30),
-                  RateFunction.constant(4, 30)):
-            assert build_process(r, k_max=1, n_max=30).k_max == 1
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["sqrt", "linear", "const"]), st.integers(1, 50),
+           st.integers(1, 300))
+    def test_builtins_are_valid(self, name, c, n_max):
+        # valid by construction: the table of a builtin passes the table's
+        # checks, and it steps by at most 1, which the gallop relies on
+        r = BuiltinRate(name, n_max, c)
+        values = RateFunction(tuple(r(n) for n in range(1, n_max + 1))).values
+        assert all(b - a <= 1 for a, b in zip(values, values[1:]))
+
+    def test_builtin_arguments_checked(self):
+        with pytest.raises(ValueError, match="^unknown builtin rate 'cubic'$"):
+            BuiltinRate("cubic", 8)
+        with pytest.raises(ValueError, match="^const rate value must be >= 1, got 0$"):
+            BuiltinRate("const", 8, 0)
+        with pytest.raises(TypeError):
+            BuiltinRate("const", 8, 2.5)
 
     def test_validate_flags_out_of_range(self):
         for values in ((1, 3), (0, 1)):  # r(2) > 2, r(1) < 1
@@ -76,48 +94,88 @@ class TestRateFunction:
         assert "r(3)" in str(exc.value)
 
 
-def _first_horizon(values, k, eps):
-    """Checkpoint k's horizon by definition: the least n > k at which
-    h = min(1, r(n) / (n - k)) puts h (n - k) / r(n) in [1 - eps, 1]."""
-    for n in range(k + 1, len(values) + 1):
-        rn = values[n - 1]
-        h = min(1.0, rn / (n - k))
-        if 1.0 - eps <= h * (n - k) / rn <= 1.0:
-            return n
-    return None
-
-
 class TestFindNk:
-    """The horizon scan that finds each checkpoint's n_k, seen through build_process."""
+    """The horizon search that finds each checkpoint's n_k, seen through
+    build_process: a builtin's gallop against the definitional scan and
+    against the forward scan of the same rate as a table."""
 
     def test_input_validation(self):
-        r = RateFunction.sqrt(10)
+        r = BuiltinRate("sqrt", 10)
         with pytest.raises(ValueError):
             build_process(r, k_max=0, n_max=10)
         for e in (0.0, 1.0):
             with pytest.raises(ValueError):
                 build_process(r, k_max=1, n_max=10, eps=(e,))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_gallop_matches_the_definitional_scan(self, data):
+        name = data.draw(st.sampled_from(["sqrt", "linear", "const"]))
+        n_max = data.draw(st.integers(2, 400))  # k_max > n_max occurs
+        r = BuiltinRate(name, n_max, data.draw(st.integers(1, n_max + 2)))
+        k_max = data.draw(st.integers(1, 40))
+        eps = None
+        if data.draw(st.booleans()):
+            eps = data.draw(st.lists(st.floats(1e-3, 0.999), min_size=k_max,
+                                     max_size=k_max, unique=True))
+            eps = tuple(sorted(eps, reverse=True))
+        table = RateFunction(tuple(r(n) for n in range(1, n_max + 1)))
+        horizons, failed = first_horizons(r, k_max, n_max, eps)
+        if failed is None:
+            p, q = build_process(r, k_max, n_max, eps), build_process(table, k_max, n_max, eps)
+            assert [cp.n for cp in p.checkpoints] == horizons
+            assert p.checkpoints == q.checkpoints
+            assert check_checkpoints(p) == check_checkpoints(q)
+            return
+        # at the linear rate, the worst, the last checkpoint needs the most
+        last = 1 / (k_max + 1) if eps is None else eps[-1]
+        required = first_horizon(lambda n: n, k_max, last, k_max + 1, math.inf)
+        for rate in (r, table):
+            with pytest.raises(HorizonTooSmall) as exc:
+                build_process(rate, k_max, n_max, eps)
+            assert (exc.value.k, exc.value.required_n_max) == (failed, required)
+
+    @pytest.mark.parametrize("name, c", [("sqrt", 1), ("linear", 1), ("const", 10**9)])
+    @pytest.mark.parametrize("eps", [None, (0.5, 0.25, 1e-3, 1e-6, 1e-9, 1e-12)])
+    def test_gallop_calls_the_rate_logarithmically(self, monkeypatch, name, c, eps):
+        # checkpoint k's calls: those of a build to k_max = k less those to k - 1
+        n_max, calls = 10**18, 0
+        call = BuiltinRate.__call__
+
+        def counted(self, n):
+            nonlocal calls
+            calls += 1
+            return call(self, n)
+
+        monkeypatch.setattr(BuiltinRate, "__call__", counted)
+        totals = [0]
+        for k_max in range(1, 7):
+            calls = 0
+            build_process(BuiltinRate(name, n_max, c), k_max, n_max, eps and eps[:k_max])
+            totals.append(calls)
+        per_checkpoint = [b - a for a, b in zip(totals, totals[1:])]
+        assert max(per_checkpoint) <= 2 * math.log2(n_max) + 2, per_checkpoint
+
 
 class TestBuildProcess:
     def test_constant_one_rate(self):
-        p = build_process(RateFunction.constant(1, 12), k_max=1, n_max=12, eps=(0.5,))
+        p = build_process(BuiltinRate("const", 12, 1), k_max=1, n_max=12, eps=(0.5,))
         assert p.checkpoints == (Checkpoint(1, 0.5, 2),)
 
     def test_linear_rate_boundary_ratio(self):
         # At n = 2 the ratio is exactly 1 - eps, which is admissible.
-        p = build_process(RateFunction.linear(12), k_max=1, n_max=12, eps=(0.5,))
+        p = build_process(BuiltinRate("linear", 12), k_max=1, n_max=12, eps=(0.5,))
         assert p.checkpoints == (Checkpoint(1, 0.5, 2),)
 
     def test_sqrt_rate_skips_tight_horizon(self):
-        p = build_process(RateFunction.sqrt(12), k_max=2, n_max=12, eps=(0.5, 0.25))
+        p = build_process(BuiltinRate("sqrt", 12), k_max=2, n_max=12, eps=(0.5, 0.25))
         assert p.checkpoints[1] == Checkpoint(2, 0.25, 4)
 
     def test_horizon_too_small_reports_fix(self):
         with pytest.raises(HorizonTooSmall) as exc:
-            build_process(RateFunction.linear(6), k_max=2, n_max=6, eps=(0.5, 0.25))
+            build_process(BuiltinRate("linear", 6), k_max=2, n_max=6, eps=(0.5, 0.25))
         assert (exc.value.k, exc.value.required_n_max) == (2, 8)
-        p = build_process(RateFunction.linear(8), k_max=2, n_max=8, eps=(0.5, 0.25))
+        p = build_process(BuiltinRate("linear", 8), k_max=2, n_max=8, eps=(0.5, 0.25))
         assert p.checkpoints[1] == Checkpoint(2, 0.25, 8)
 
     @settings(max_examples=300, deadline=None)
@@ -138,18 +196,18 @@ class TestBuildProcess:
         try:
             checkpoints = build_process(r, k_max, n_max, eps).checkpoints
         except HorizonTooSmall as exc:
-            assert _first_horizon(values, exc.k, eps[exc.k - 1]) is None
+            assert first_horizon(r, exc.k, eps[exc.k - 1], exc.k + 1, n_max) is None
             k_max = exc.k - 1
             checkpoints = ()
             if k_max:
                 checkpoints = build_process(r, k_max, n_max, eps[:k_max]).checkpoints
         assert [cp.n for cp in checkpoints] == [
-            _first_horizon(values, k, e) for k, e in enumerate(eps[:k_max], start=1)
+            first_horizon(r, k, e, k + 1, n_max) for k, e in enumerate(eps[:k_max], start=1)
         ]
         assert all(r(cp.n) >= cp.n - cp.k for cp in checkpoints)
 
     def test_scan_resumes_at_the_last_horizon(self, monkeypatch):
-        # one forward pass: a restart at k + 1 per checkpoint would test
+        # one forward pass over a table: a restart at k + 1 per checkpoint would test
         # sum(n_k - k) ~ 338,000 horizons here
         calls = 0
         admits = process_module._admits
@@ -160,12 +218,12 @@ class TestBuildProcess:
             return admits(*args)
 
         monkeypatch.setattr(process_module, "_admits", counted)
-        p = build_process(RateFunction.linear(10100), k_max=100, n_max=10100)
+        p = build_process(RateFunction(tuple(range(1, 10101))), k_max=100, n_max=10100)
         assert p.checkpoints[-1].n == 10100
         assert calls <= 10100 + 100
 
     def test_sqrt_instance_checkpoints(self):
-        p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=5, n_max=12)
         assert tuple(cp.n for cp in p.checkpoints) == (2, 4, 6, 7, 8)
         assert all(p.rate(cp.n) >= cp.n - cp.k for cp in p.checkpoints)
         assert p.k_max == 5
@@ -173,7 +231,7 @@ class TestBuildProcess:
     def test_components_span_the_horizon(self):
         # each copy lives on {0,1}^(n_max) with its one flip at n_k, so the
         # components form a product
-        p = build_process(RateFunction.sqrt(12), k_max=3, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=3, n_max=12)
         assert [(c.n, c.k, c.flips) for c in p.components] == [
             (12, 1, ((2, 1.0),)), (12, 2, ((4, 1.0),)), (12, 3, ((6, 1.0),))]
         assert ProductMeasure(p.components).n == 12
@@ -181,7 +239,7 @@ class TestBuildProcess:
     def test_components_hold_only_their_flips(self):
         # one pair per copy: storing every position up to n_k would hold
         # 9,045,057 numbers here
-        p = build_process(RateFunction.linear(90301), k_max=300, n_max=90301)
+        p = build_process(BuiltinRate("linear", 90301), k_max=300, n_max=90301)
         start = time.perf_counter()
         comps = p.components
         elapsed = time.perf_counter() - start
@@ -191,7 +249,7 @@ class TestBuildProcess:
 
     def test_copy_components_are_the_row_solve(self):
         # h_k = 1: the copy's flip vector is the solve's output bit for bit
-        p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=5, n_max=12)
         for cp, comp in zip(p.checkpoints, p.components):
             solved, _ = solve_row(ValidRow(cp.n, cp.k, (1.0,) * (cp.n - cp.k)))
             assert comp.flips == solved.flips
@@ -212,15 +270,15 @@ class TestBuildProcess:
         assert i == k and np.abs(cells - h).max() <= 1e-15
 
     def test_default_eps_sequence(self):
-        p = build_process(RateFunction.sqrt(12), k_max=3, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=3, n_max=12)
         assert tuple(cp.eps for cp in p.checkpoints) == (1 / 2, 1 / 3, 1 / 4)
 
     def test_explicit_eps(self):
-        p = build_process(RateFunction.sqrt(12), k_max=2, n_max=12, eps=(0.5, 0.25))
+        p = build_process(BuiltinRate("sqrt", 12), k_max=2, n_max=12, eps=(0.5, 0.25))
         assert tuple(cp.eps for cp in p.checkpoints) == (0.5, 0.25)
 
     def test_parameter_validation(self):
-        r = RateFunction.sqrt(12)
+        r = BuiltinRate("sqrt", 12)
         with pytest.raises(ValueError):
             build_process(r, k_max=0, n_max=12)
         with pytest.raises(ValueError):
@@ -231,7 +289,7 @@ class TestBuildProcess:
             build_process(RateFunction((1, 3, 3)), k_max=1, n_max=3)
 
     def test_eps_validation(self):
-        r = RateFunction.sqrt(12)
+        r = BuiltinRate("sqrt", 12)
         with pytest.raises(ValueError):
             build_process(r, k_max=2, n_max=12, eps=(0.5,))
         with pytest.raises(ValueError):
@@ -245,7 +303,7 @@ class TestBuildProcess:
             raise AssertionError(f"dense measure built on {self.space}")
 
         monkeypatch.setattr(measures.FiniteMeasure, "__post_init__", refuse)
-        p = build_process(RateFunction.linear(64), k_max=4, n_max=64,
+        p = build_process(BuiltinRate("linear", 64), k_max=4, n_max=64,
                           eps=(0.51, 0.29, 0.252, 0.202))
         reports = check_checkpoints(p)
         assert "components" not in vars(p)  # the audit read the horizons alone
@@ -254,21 +312,24 @@ class TestBuildProcess:
         assert all(r.passed for r in reports)
 
     def test_huge_sizes_fail_fast(self):
-        with pytest.raises(measures.StateCapExceeded):
-            RateFunction.linear(10**300)
+        # a builtin holds no table: n_max = 10^300 gives the horizons 64 does
+        huge = build_process(BuiltinRate("linear", 10**300), k_max=3, n_max=10**300)
+        small = build_process(BuiltinRate("linear", 64), k_max=3, n_max=64)
+        assert huge.checkpoints == small.checkpoints
+        assert check_checkpoints(huge) == check_checkpoints(small)
         # with default eps the first checkpoint past n_max - 1 stops the build
         with pytest.raises(HorizonTooSmall) as exc:
-            build_process(RateFunction.linear(6), k_max=10**300, n_max=6)
+            build_process(BuiltinRate("linear", 6), k_max=10**300, n_max=6)
         assert exc.value.k <= 6
 
     def test_horizon_error_propagates(self):
         with pytest.raises(HorizonTooSmall):
-            build_process(RateFunction.linear(6), k_max=3, n_max=6, eps=(0.5, 0.4, 0.1))
+            build_process(BuiltinRate("linear", 6), k_max=3, n_max=6, eps=(0.5, 0.4, 0.1))
 
 
 @pytest.fixture(scope="module")
 def process():
-    return build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
+    return build_process(BuiltinRate("sqrt", 12), k_max=5, n_max=12)
 
 
 class TestDeltaMatrix:
@@ -311,7 +372,7 @@ class TestDeltaMatrix:
 
 class TestCheckCheckpoints:
     def test_sqrt_instance_passes(self):
-        p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=5, n_max=12)
         reports = check_checkpoints(p)
         assert [r.passed for r in reports] == [True] * 5
         assert np.allclose(
@@ -321,7 +382,7 @@ class TestCheckCheckpoints:
     def test_corrupted_component_is_caught(self):
         # component 2 copied at horizon 3 in place of 4: its row holds one
         # cell, so R(3) - 1 = 1 against r(3) = 2, below 1 - eps_2 = 2/3
-        p = build_process(RateFunction.sqrt(12), k_max=5, n_max=12)
+        p = build_process(BuiltinRate("sqrt", 12), k_max=5, n_max=12)
         table = list(p.checkpoints)
         table[1] = dataclasses.replace(table[1], n=3)
         broken = dataclasses.replace(p, checkpoints=tuple(table))
@@ -331,11 +392,11 @@ class TestCheckCheckpoints:
 
 
 class TestProcessIsAProduct:
-    @pytest.mark.parametrize("rate", [RateFunction.linear, RateFunction.sqrt])
-    def test_fold_reads_the_audited_rate(self, rate):
+    @pytest.mark.parametrize("name", ["linear", "sqrt"])
+    def test_fold_reads_the_audited_rate(self, name):
         # the mix engine's fold of every length-n_k prefix checks R(n_k)
         # apart from check_checkpoints' argument over the horizons
-        p = build_process(rate(1024), k_max=30, n_max=1024)
+        p = build_process(BuiltinRate(name, 1024), k_max=30, n_max=1024)
         for rep in check_checkpoints(p):
             prefixes = tuple(PureRow(rep.n, c.k, tuple(f for f in c.flips if f[0] <= rep.n))
                              for c in p.components if c.k < rep.n)
